@@ -6,7 +6,10 @@ product maps.
 A map x -> x * prod [x, u_i]^lambda(i) is an endomorphism of any metabelian
 group and an automorphism of any metabelian nilpotent one; composing two such
 maps stays in the family, with the cross terms [x, u_i, v_j] folded back to
-flat pairs via [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz].  Data equality is not
+flat pairs via [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz].  One routine,
+compose_gen_inner, composes both flat pair data and nested data
+x -> x * prod [x, v_1, ..., v_s]^eta, in either argument; inversion and the
+class induction of the decision both go through it.  Data equality is not
 canonical for these maps, so the official equivalence everywhere is
 extensional (apply-based); the stored pair list is only brought to a normal
 form that the bracket cannot distinguish from the input.
@@ -28,6 +31,7 @@ from .core import (
     element_from_json,
     element_to_json,
     enumerate_basics,
+    gamma_layer,
     gen_element,
     identity,
     inverse,
@@ -301,27 +305,44 @@ def _flatten_term(tail: tuple[Element, ...], k: int) -> tuple[tuple[Element, int
     return tuple(out.items())
 
 
-def compose_gen_inner(psi: GenInnerData, phi: GenInnerData) -> GenInnerData:
-    """Data of psi o phi (phi applied first), by the closed product formula:
+def _tails_and_pairs(data: GenInnerData | NestedGenInnerData):
+    """Nested tails and flat pairs of either form; a pair (u, lam) is the tail (u,)."""
+    if isinstance(data, NestedGenInnerData):
+        return data.terms, flatten(data).pairs
+    return tuple(((u,), lam) for u, lam in data.pairs), data.pairs
 
-    psi o phi (x) = x * prod [x,u_i]^lam(i) * prod [x,v_j]^mu(j)
-                      * prod prod [x,u_i,v_j]^(lam(i)mu(j)).
+
+def compose_gen_inner(
+    psi: GenInnerData | NestedGenInnerData, phi: GenInnerData | NestedGenInnerData
+) -> GenInnerData:
+    """Data of psi o phi (phi applied first), by the closed product formula.
+
+    With phi = prod [x, S_i]^mu(i) and psi = prod [x, T_j]^eta(j) over tails
+    S_i, T_j (a flat pair (u, lam) is the one-element tail (u,)),
+
+    psi o phi (x) = x * prod [x,S_i]^mu(i) * prod [x,T_j]^eta(j)
+                      * prod prod [x,S_i,T_j]^(mu(i)eta(j)),
+
+    so either argument may be nested; the cross terms keep their visible
+    weight, and those past the class are skipped.  phi, psi and the cross
+    block are each flattened and normalised on their own, then concatenated
+    in that order, which fixes the order of the output pairs.
     """
     if psi.params != phi.params:
         raise DomainError("parameter mismatch between data")
     k = psi.params.nilclass
+    phi_tails, phi_pairs = _tails_and_pairs(phi)
+    psi_tails, psi_pairs = _tails_and_pairs(psi)
     cross = NestedGenInnerData(
         psi.params,
         tuple(
-            ((u, v), lam * mu)
-            for u, lam in phi.pairs
-            for v, mu in psi.pairs
-            if 1 + u.min_weight() + v.min_weight() <= k
+            (s + t, mu * eta)
+            for s, mu in phi_tails
+            for t, eta in psi_tails
+            if 1 + sum(v.min_weight() for v in s + t) <= k
         ),
     )
-    return GenInnerData(
-        psi.params, phi.pairs + psi.pairs + flatten(cross).pairs
-    )
+    return GenInnerData(psi.params, phi_pairs + psi_pairs + flatten(cross).pairs)
 
 
 def _is_extensionally_identity(data: GenInnerData) -> bool:
@@ -329,47 +350,6 @@ def _is_extensionally_identity(data: GenInnerData) -> bool:
     return all(
         apply_gen_inner(data, gen_element(params, i)) == gen_element(params, i)
         for i in range(params.rank)
-    )
-
-
-def _compose_nested_after(nested_psi: NestedGenInnerData, phi: GenInnerData) -> GenInnerData:
-    """Data of (nested map) o phi; the cross terms keep their visible weight.
-
-    Flattening preserves the defect form pointwise, so the cross block of the
-    closed composition formula may be taken against the nested tails directly:
-    [x, u_i, tail_j...] with exponent lambda(i) * eta(j).
-    """
-    if nested_psi.params != phi.params:
-        raise DomainError("parameter mismatch between data")
-    cross = NestedGenInnerData(
-        phi.params,
-        tuple(
-            ((u,) + tail, lam * eta)
-            for u, lam in phi.pairs
-            for tail, eta in nested_psi.terms
-        ),
-    )
-    return GenInnerData(
-        phi.params,
-        phi.pairs + flatten(nested_psi).pairs + flatten(cross).pairs,
-    )
-
-
-def _compose_after_nested(psi: GenInnerData, nested_phi: NestedGenInnerData) -> GenInnerData:
-    """Data of psi o (nested map), cross terms against the nested tails."""
-    if nested_phi.params != psi.params:
-        raise DomainError("parameter mismatch between data")
-    cross = NestedGenInnerData(
-        psi.params,
-        tuple(
-            (tail + (v,), eta * mu)
-            for tail, eta in nested_phi.terms
-            for v, mu in psi.pairs
-        ),
-    )
-    return GenInnerData(
-        psi.params,
-        flatten(nested_phi).pairs + psi.pairs + flatten(cross).pairs,
     )
 
 
@@ -406,7 +386,7 @@ def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
         negated = NestedGenInnerData(
             params, tuple((tail, -eta) for tail, eta in residual)
         )
-        psi = _compose_nested_after(negated, psi)
+        psi = compose_gen_inner(negated, psi)
         residual = tuple(
             (ti + tj, -ei * ej) for ti, ei in residual for tj, ej in residual
         )
@@ -459,11 +439,13 @@ def _conjugation_images(params: GroupParams, u: Element) -> list[Element]:
 
 def _inner_conjugator_explain(
     f: AutoSpec,
-) -> tuple[Element | None, tuple[int, int, InfeasibilityCertificate | None] | None]:
+) -> tuple[Element | None, tuple[int, int, InfeasibilityCertificate] | None]:
     """Layer-by-layer search for u with f = conjugation by u.
 
     On failure returns (None, (generator, layer, certificate)); the layer is
     the lower-central weight at which the integer system became infeasible.
+    Step w solves for the weight-w part v of u: [a_i, v] must cancel the
+    weight-(w+1) layer of the defect of a_i, for every generator a_i at once.
     """
     if not is_ia(f):
         raise DomainError("only IA specs can be inner here")
@@ -477,52 +459,29 @@ def _inner_conjugator_explain(
         if all(x.is_identity for x in defects):
             break
         layer = w + 1
-        basics = enumerate_basics(params, layer)
-        index = {seq: t for t, seq in enumerate(basics)}
-        nrows = d * len(basics)
-        if w == 1:
-            cols = d
-        else:
-            wcol = enumerate_basics(params, w)
-            cols = len(wcol)
-        a = [[0] * cols for _ in range(nrows)]
-        b = [0] * nrows
+        # generators at layer 1, the weight-w basics above it
+        unknowns = gens if w == 1 else [
+            derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)
+        ]
+        a: list[list[int]] = []
+        b: list[int] = []
         for i in range(d):
-            dmap = defects[i].dmap()
-            for seq, c in dmap.items():
-                if len(seq) == layer:
-                    b[i * len(basics) + index[seq]] = c
-            if w == 1:
-                for j in range(d):
-                    vec = commutator(gens[i], gens[j]).dmap()
-                    for seq, c in vec.items():
-                        if len(seq) == layer:
-                            a[i * len(basics) + index[seq]][j] = c
-            else:
-                for col, seq0 in enumerate(wcol):
-                    vec = commutator(
-                        gens[i], derived_element(params, {seq0: 1})
-                    ).dmap()
-                    for seq, c in vec.items():
-                        if len(seq) == layer:
-                            a[i * len(basics) + index[seq]][col] = c
+            cols = [gamma_layer(commutator(gens[i], v), layer) for v in unknowns]
+            a.extend(list(row) for row in zip(*cols))
+            b.extend(gamma_layer(defects[i], layer))
         x, _, cert = integer_solve_explain(a, b)
         if x is None:
             gen_idx = next(
                 (i for i in range(d) if not defects[i].is_identity), 0
             )
             return None, (gen_idx, layer, cert)
-        if w == 1:
-            v = _mk(params, x, {})
-        else:
-            v = derived_element(
-                params, {seq0: coef for seq0, coef in zip(wcol, x) if coef}
-            )
-        u = mul(u, v)
+        for v, c in zip(unknowns, x):
+            if c:
+                u = mul(u, power(v, c))
     final = _conjugation_images(params, u)
-    if all(final[i] == f.images[i] for i in range(d)):
-        return u, None
-    return None, (0, k, None)
+    if any(final[i] != f.images[i] for i in range(d)):
+        raise RuntimeError("conjugator search fails to reproduce the automorphism")
+    return u, None
 
 
 def is_inner(f: AutoSpec) -> Element | None:

@@ -25,13 +25,11 @@ from .autos import (
     GenInnerData,
     NestedGenInnerData,
     PolyAutoData,
-    _compose_after_nested,
     _inner_conjugator_explain,
     apply_poly_auto,
+    compose_gen_inner,
     epsilon_sum,
     gen_inner_to_spec,
-    compose_endo,
-    invert_ia,
     is_ia,
 )
 from .core import (
@@ -282,19 +280,6 @@ def _abelianization_unimodular(f: AutoSpec) -> bool:
     return det(mat) in (1, -1)
 
 
-def _top_layer_pairs(x: Element, w: int) -> list[tuple[tuple[int, ...], int]]:
-    """Sparse top-layer coordinates; rejects elements outside gamma_w."""
-    if any(x.exp):
-        raise DomainError("element not in the requested layer")
-    out = []
-    for seq, c in x.derived:
-        if len(seq) < w:
-            raise DomainError(f"element has weight-{len(seq)} support below {w}")
-        if len(seq) == w:
-            out.append((seq, c))
-    return out
-
-
 def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
     """Decide whether f is x -> x * prod [x, u_i]^lambda(i), with witness data.
 
@@ -326,9 +311,7 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
         if u is not None:
             return GenInnerData(params, ((u, 1),))
         gen_idx, layer, cert = info
-        return NotGeneralizedInner(
-            gen_idx, layer, cert.to_json() if cert is not None else {"kind": "no-solution"}
-        )
+        return NotGeneralizedInner(gen_idx, layer, cert.to_json())
 
     reduced = AutoSpec(
         GroupParams(d, k - 1), tuple(reduce_class(img, k - 1) for img in f.images)
@@ -339,16 +322,17 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
     lifted = GenInnerData(
         params, tuple((_mk(params, u.exp, dict(u.derived)), lam) for u, lam in below.pairs)
     )
-    residual = compose_endo(invert_ia(gen_inner_to_spec(lifted)), f)
-
+    # f and the lift agree below the central top layer, which IA maps fix, so
+    # the residual defect of a_j is L(a_j)^-1 f(a_j), read off directly.
+    lifted_images = gen_inner_to_spec(lifted).images
+    b = [
+        c
+        for j in range(d)
+        for c in gamma_layer(mul(inverse(lifted_images[j]), f.images[j]), k)
+    ]
     basics = enumerate_basics(params, k)
     index = {seq: r for r, seq in enumerate(basics)}
     nb = len(basics)
-    b = [0] * (d * nb)
-    for j in range(d):
-        defect = mul(inverse(gen_element(params, j)), residual.images[j])
-        for seq, c in _top_layer_pairs(defect, k):
-            b[j * nb + index[seq]] = c
     deltas = enumerate_deltas(d, k - 2)
     cols: list[tuple[int, Delta]] = [
         (i, delta) for i in range(d) for delta in deltas
@@ -377,7 +361,7 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
             if coef
         ),
     )
-    result = _compose_after_nested(lifted, correction)
+    result = compose_gen_inner(lifted, correction)
     check = gen_inner_to_spec(result)
     if check.images != f.images:
         raise RuntimeError("synthesized data fails to reproduce the automorphism")

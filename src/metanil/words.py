@@ -135,6 +135,10 @@ def retract(w: Word, keep: set[int]) -> Word:
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# The parser recurses once per '(' / '[' level; deeper input is refused
+# before it can exhaust the interpreter stack.
+_MAX_NESTING = 200
+
 
 def _tokenize(text: str):
     toks = []
@@ -179,6 +183,7 @@ class _Parser:
     def __init__(self, text: str, params: GroupParams):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.params = params
 
     def peek(self):
@@ -233,9 +238,16 @@ class _Parser:
             if value == 1:
                 return Word()
             raise ParseError("expected a generator, '(' or '['", pos)
+        if kind in ("(", "["):
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise DomainError(
+                    f"nesting deeper than {_MAX_NESTING} levels (at position {pos})"
+                )
         if kind == "(":
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "[":
             parts = [self.parse_expr()]
@@ -243,6 +255,7 @@ class _Parser:
                 self.next()
                 parts.append(self.parse_expr())
             self.expect("]")
+            self.depth -= 1
             if len(parts) < 2:
                 raise ParseError("bracket needs at least two arguments", pos)
             return left_normed_word(parts)

@@ -45,6 +45,17 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_nesting_limit(capsys):
+    # deep nesting is a domain error (exit 3), raised before the recursive
+    # parser can overflow the interpreter stack
+    deep = "(" * 3000 + "a" + ")" * 3000
+    code, _, err = run(capsys, "nf", "--rank", "2", "--class", "3", deep)
+    assert code == 3 and "nesting" in err
+    ok = "(" * 200 + "a" + ")" * 200
+    code, out, _ = run(capsys, "nf", "--rank", "2", "--class", "3", ok)
+    assert code == 0 and out.strip() == "a"
+
+
 def test_is_inner_flow(capsys):
     spec = json.dumps({"rank": 2, "class": 3, "images": ["a", "b [b,a,a]"]})
     code, out, _ = run(capsys, "is-inner", "--rank", "2", "--class", "3", spec)

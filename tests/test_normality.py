@@ -511,3 +511,26 @@ def test_rank_two_defects_decouple():
             )
             res = synthesize_gen_inner(spec)
             assert isinstance(res, GenInnerData)
+
+
+def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch):
+    # a layer solve that is off by one leaves a defect the final check sees;
+    # that is an engine fault, so it must raise rather than come back as a
+    # certificate-less refusal or a plain "not inner"
+    import metanil.autos as autos
+
+    solve = autos.integer_solve_explain
+
+    def off_by_one(a, b):
+        x, kernel, cert = solve(a, b)
+        if x is not None:
+            x = [x[0] + 1] + list(x[1:])
+        return x, kernel, cert
+
+    monkeypatch.setattr(autos, "integer_solve_explain", off_by_one)
+    p = GroupParams(2, 2)
+    f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
+    with pytest.raises(RuntimeError):
+        synthesize_gen_inner(f)
+    with pytest.raises(RuntimeError):
+        is_inner(f)

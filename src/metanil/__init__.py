@@ -5,6 +5,9 @@ the generalized-inner automorphism calculus, and the decision procedure for
 normality of automorphisms, plus a CLI front end (``metanil``).
 """
 
+import sys
+
+from . import core
 from .words import (
     DomainError,
     GroupParams,
@@ -89,3 +92,18 @@ from .normality import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every metanil cache, the Smith-form factorizations included.
+
+    The caches only save repeated work: results are the same cold or warm.
+    A long-lived process can call this to release what they hold.
+    """
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith(__name__ + "."):
+            continue
+        for val in vars(mod).values():
+            if getattr(val, "__module__", None) == name and hasattr(val, "cache_clear"):
+                val.cache_clear()
+    core._APPEND_CACHE.clear()

@@ -289,10 +289,21 @@ class Element:
         return " ".join(parts) if parts else "1"
 
 
+@lru_cache(maxsize=1 << 16)
+def _pair(s: Basic, c: int) -> tuple[Basic, int]:
+    """One shared (bracket, coefficient) tuple per value.
+
+    The elements held by the caches repeat a few thousand distinct pairs
+    hundreds of thousands of times, so sharing one tuple per value saves
+    most of the memory they hold.
+    """
+    return s, c
+
+
 def _mk(params: GroupParams, exp, dvec: DVec) -> Element:
     # trusted constructor: inputs come from the engine, skip re-validation
     derived = tuple(
-        sorted(((s, c) for s, c in dvec.items() if c), key=lambda p: (len(p[0]), p[0]))
+        sorted((_pair(s, c) for s, c in dvec.items() if c), key=lambda p: (len(p[0]), p[0]))
     )
     obj = object.__new__(Element)
     object.__setattr__(obj, "params", params)

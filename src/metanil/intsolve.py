@@ -10,6 +10,7 @@ which any third party can re-verify by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .words import DomainError
 
@@ -124,34 +125,78 @@ class InfeasibilityCertificate:
         return {"row": list(self.row), "modulus": self.modulus, "value": self.value}
 
 
+@dataclass(frozen=True)
+class _Factorization:
+    """U * A * V = D for one matrix, kept in the form the solver reads.
+
+    ``u_rows`` holds the rows of U as sparse ``(column, value)`` pairs,
+    ``diag`` the diagonal of D padded with zeros to one entry per row of A,
+    ``v`` the rows of V and ``kernel`` the columns of V that span ker A.
+    """
+
+    u_rows: tuple[tuple[tuple[int, int], ...], ...]
+    diag: tuple[int, ...]
+    v: tuple[tuple[int, ...], ...]
+    kernel: tuple[tuple[int, ...], ...]
+
+    def certificate(self, i: int, modulus: int, value: int) -> InfeasibilityCertificate:
+        row = [0] * len(self.diag)
+        for j, x in self.u_rows[i]:
+            row[j] = x
+        return InfeasibilityCertificate(tuple(row), modulus, value)
+
+
+@lru_cache(maxsize=64)
+def _factor(a: tuple[tuple[int, ...], ...]) -> _Factorization:
+    """Smith-form factorization of the matrix whose rows are ``a``.
+
+    The systems of the decision engine depend only on (rank, class, layer),
+    so each one is reduced once and every later right-hand side reuses it.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u, d, v = smith_normal_form(a)
+    diag = tuple(d[i][i] if i < n else 0 for i in range(m))
+    return _Factorization(
+        u_rows=tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in u),
+        diag=diag,
+        v=tuple(map(tuple, v)),
+        kernel=tuple(
+            tuple(v[r][j] for r in range(n))
+            for j in range(n)
+            if j >= m or diag[j] == 0
+        ),
+    )
+
+
 def integer_solve_explain(
     a: Matrix, b: list[int]
 ) -> tuple[list[int] | None, list[list[int]] | None, InfeasibilityCertificate | None]:
-    """Solve A x = b over the integers, or explain why there is no solution."""
+    """Solve A x = b over the integers, or explain why there is no solution.
+
+    The Smith form of ``a`` comes from a bounded cache keyed on the matrix
+    entries, so repeated systems are reduced once; the lists returned are
+    fresh on every call.
+    """
     m = len(a)
     if len(b) != m:
         raise DomainError(f"dimension mismatch: {m} rows vs {len(b)} entries")
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
         raise DomainError("ragged matrix")
-    u, d, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * n
-    for i in range(m):
-        di = d[i][i] if i < n else 0
+    f = _factor(tuple(map(tuple, a)))
+    y = []  # the nonzero entries of D^-1 U b, as (index, value)
+    for i, (row, di) in enumerate(zip(f.u_rows, f.diag)):
+        ci = sum(x * b[j] for j, x in row)
         if di:
-            if c[i] % di:
-                return None, None, InfeasibilityCertificate(tuple(u[i]), di, c[i])
-            y[i] = c[i] // di
-        elif c[i]:
-            return None, None, InfeasibilityCertificate(tuple(u[i]), 0, c[i])
-    x = mat_vec(v, y) if n else []
-    kernel = [
-        [v[r][j] for r in range(n)]
-        for j in range(n)
-        if j >= m or d[j][j] == 0
-    ]
-    return x, kernel, None
+            if ci % di:
+                return None, None, f.certificate(i, di, ci)
+            if ci:
+                y.append((i, ci // di))
+        elif ci:
+            return None, None, f.certificate(i, 0, ci)
+    x = [sum(vr[j] * yj for j, yj in y) for vr in f.v]
+    return x, [list(col) for col in f.kernel], None
 
 
 def integer_solve(a: Matrix, b: list[int]) -> tuple[list[int], list[list[int]]] | None:

@@ -47,7 +47,7 @@ from .core import (
     power,
     reduce_class,
 )
-from .intsolve import integer_solve, integer_solve_explain
+from .intsolve import integer_solve, integer_solve_explain, smith_normal_form
 from .words import DomainError, GroupParams
 
 Delta = tuple[int, ...]
@@ -229,8 +229,6 @@ def delta_rewrite_injective(s: int, params: GroupParams) -> tuple[bool, dict]:
     ]
     nrows = len(enumerate_basics(params, k))
     a = [[col[r] for col in columns] for r in range(nrows)]
-    from .intsolve import smith_normal_form
-
     _, diag, _ = smith_normal_form(a)
     divisors = [
         diag[t][t] for t in range(min(nrows, len(columns))) if diag[t][t]

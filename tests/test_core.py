@@ -167,6 +167,14 @@ def test_mul_examples():
     assert ba.exp == (1, 1) and dict(ba.derived) == {(1, 0): 1}
 
 
+def test_equal_derived_pairs_are_shared():
+    # elements held by the caches share one tuple per (bracket, coefficient)
+    x = collect_text("b a c", P35)
+    y = collect_text("b a c^2", P35)
+    assert x.derived[0] == y.derived[0] == ((1, 0), 1)
+    assert x.derived[0] is y.derived[0]
+
+
 def test_mul_params_mismatch():
     with pytest.raises(DomainError):
         mul(identity(P23), identity(P33))

@@ -9,8 +9,11 @@ flattens all terms jointly instead of each block separately.
 import json
 from pathlib import Path
 
+import sys
+
 import pytest
 
+from metanil import clear_caches, core
 from metanil.autos import (
     gen_inner_from_json,
     gen_inner_to_json,
@@ -52,3 +55,28 @@ def test_golden_corpus_covers_the_pinned_shapes():
     refusals = [c["output"] for c in CASES if "certificate" in c["output"]]
     assert {r["layer"] for r in refusals} == {2, 4}
     assert all({"row", "modulus", "value"} <= set(r["certificate"]) for r in refusals)
+
+
+def _cached_entries():
+    sizes = [
+        val.cache_info().currsize
+        for name, mod in list(sys.modules.items())
+        if name.startswith("metanil.")
+        for val in vars(mod).values()
+        if getattr(val, "__module__", None) == name and hasattr(val, "cache_info")
+    ]
+    return sum(sizes) + len(core._APPEND_CACHE)
+
+
+def test_golden_outputs_do_not_depend_on_cache_state():
+    """Cold, warm, and cold again: cases sharing a (rank, class) leak nothing."""
+    expected = [c["output"] for c in CASES]
+    clear_caches()
+    assert _cached_entries() == 0
+    cold = [OPS[c["op"]](c["input"]) for c in CASES]
+    assert _cached_entries() > 0
+    warm = [OPS[c["op"]](c["input"]) for c in CASES]
+    clear_caches()
+    assert _cached_entries() == 0
+    again = [OPS[c["op"]](c["input"]) for c in CASES]
+    assert cold == expected and warm == expected and again == expected

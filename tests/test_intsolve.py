@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from metanil import clear_caches, intsolve
 from metanil.intsolve import (
     InfeasibilityCertificate,
+    identity_matrix,
     integer_solve,
     integer_solve_explain,
     mat_vec,
@@ -113,10 +115,16 @@ def test_solution_and_kernel_round_trip():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DomainError):
-        integer_solve([[1, 2]], [1, 2])
-    with pytest.raises(DomainError):
-        integer_solve([[1, 2], [1]], [1, 2])
+    for _ in range(2):  # cold, then with the well-formed matrix factored
+        with pytest.raises(DomainError):
+            integer_solve([[1, 2]], [1, 2])
+        with pytest.raises(DomainError):
+            integer_solve([[1, 2], [1]], [1, 2])
+        with pytest.raises(DomainError):
+            integer_solve_explain([[1, 2], [3, 4]], [1, 2, 3])
+        with pytest.raises(DomainError):
+            integer_solve_explain([[1, 2], [3, 4, 5]], [1, 2])
+        integer_solve_explain([[1, 2], [3, 4]], [1, 2])
 
 
 def test_zero_sized_systems():
@@ -126,3 +134,116 @@ def test_zero_sized_systems():
     assert cert is None and len(kernel) == 2
     _, _, cert = integer_solve_explain([[0, 0]], [5])
     assert cert is not None and cert.modulus == 0
+
+
+def reference_solve(a, b):
+    """The solver without the factorization cache: a fresh dense Smith form."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u, d, v = smith_normal_form(a)
+    c = mat_vec(u, b)
+    y = [0] * n
+    for i in range(m):
+        di = d[i][i] if i < n else 0
+        if di:
+            if c[i] % di:
+                return None, None, InfeasibilityCertificate(tuple(u[i]), di, c[i])
+            y[i] = c[i] // di
+        elif c[i]:
+            return None, None, InfeasibilityCertificate(tuple(u[i]), 0, c[i])
+    x = mat_vec(v, y) if n else []
+    kernel = [[v[r][j] for r in range(n)] for j in range(n) if j >= m or d[j][j] == 0]
+    return x, kernel, None
+
+
+def random_unimodular(rng, n):
+    p = identity_matrix(n)
+    for _ in range(3 * n):
+        i, t = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != t:
+            q = rng.randrange(-2, 3)
+            p[i] = [x + q * y for x, y in zip(p[i], p[t])]
+        if rng.random() < 0.3:
+            p[i] = [-x for x in p[i]]
+    return p
+
+
+def test_cached_solve_matches_a_fresh_smith_form():
+    """P D Q systems with known right-hand sides of each kind, cold and warm."""
+    rng = random.Random(31)
+    clear_caches()
+    kinds = {"feasible": 0, "modular": 0, "exact": 0, "exact-modulus-0": 0}
+    for _ in range(120):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+        r = rng.randrange(0, min(m, n) + 1)
+        diag = [rng.choice([1, 1, 2, 3, 6]) for _ in range(r)]
+        p, q = random_unimodular(rng, m), random_unimodular(rng, n)
+        dq = [[diag[i] * x for x in q[i]] if i < r else [0] * n for i in range(m)]
+        a = matmul(p, dq)
+        for _ in range(3):
+            z = [rng.randrange(-4, 5) for _ in range(r)]
+            c = [diag[i] * z[i] if i < r else 0 for i in range(m)]
+            rhs = {"feasible": c}
+            big = [i for i in range(r) if diag[i] > 1]
+            if big:
+                i = rng.choice(big)
+                rhs["modular"] = [x + (t == i) for t, x in enumerate(c)]
+            if r < m:
+                i = rng.randrange(r, m)
+                rhs["exact"] = [x + rng.choice([-3, -1, 1, 2]) * (t == i) for t, x in enumerate(c)]
+            for kind, ct in rhs.items():
+                b = mat_vec(p, ct)
+                got = integer_solve_explain(a, b)
+                assert got == reference_solve(a, b)
+                x, kernel, cert = got
+                kinds[kind] += 1
+                if kind == "feasible":
+                    assert cert is None and mat_vec(a, x) == b
+                    assert all(mat_vec(a, kv) == [0] * m for kv in kernel)
+                    continue
+                assert x is None and kernel is None and cert is not None
+                ua = [sum(cert.row[i] * a[i][j] for i in range(m)) for j in range(n)]
+                ub = sum(cert.row[i] * b[i] for i in range(m))
+                assert len(cert.row) == m and ub == cert.value
+                if cert.modulus:
+                    assert all(v % cert.modulus == 0 for v in ua)
+                    assert ub % cert.modulus
+                else:
+                    kinds["exact-modulus-0"] += 1
+                    assert all(v == 0 for v in ua) and ub
+                if kind == "modular":  # rationally feasible: no exact certificate exists
+                    assert cert.modulus >= 2
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_each_matrix_is_factored_once(monkeypatch):
+    calls = []
+
+    def counting_snf(a):
+        calls.append(len(a))
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(intsolve, "smith_normal_form", counting_snf)
+    clear_caches()
+    for t in range(5):
+        # a fresh list each time: the cache is keyed on the entries
+        integer_solve_explain([[2, 0], [0, 3], [1, 1]], [2 * t, 3 * t, 5 * t])
+    assert calls == [3]
+    integer_solve_explain([[2, 0], [0, 3], [1, 2]], [0, 0, 0])
+    assert calls == [3, 3]
+    clear_caches()
+    integer_solve_explain([[2, 0], [0, 3], [1, 1]], [0, 0, 0])
+    assert calls == [3, 3, 3]
+
+
+def test_returned_lists_are_not_shared_with_the_cache():
+    clear_caches()
+    a = [[1, 2, 3], [0, 2, 4]]
+    x, kernel, _ = integer_solve_explain(a, [1, 2])
+    expected = (list(x), [list(kv) for kv in kernel])
+    x[0] += 7
+    kernel[0][0] += 7
+    kernel.append([1, 1, 1])
+    a[0][0] = 5  # the caller's matrix is not the key either
+    x2, kernel2, _ = integer_solve_explain([[1, 2, 3], [0, 2, 4]], [1, 2])
+    assert (x2, kernel2) == expected

@@ -10,102 +10,188 @@ relations of the class-k metabelian quotient.  That exactness is *checked*,
 not assumed: see kernel_selfcheck.  The oracle shares no code with the
 collector in :mod:`metanil.core`, so agreement between the two is meaningful
 evidence for both.
+
+Each polynomial is a dense coefficient list over the monomials of degree
+<= its cap, listed by degree; magnus_of_word folds a word into (s, m) one
+syllable at a time, in place, in at most k sweeps per syllable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import comb
 
 from .core import Basic, binom, enumerate_basics
 from .words import DomainError, GroupParams, Word, parse_word
 
 
-class TruncPoly:
-    """Sparse integer polynomial in nvars variables, total degree <= cap."""
+class _Basis:
+    """Monomials in nvars variables of total degree <= cap, in degree order.
 
-    __slots__ = ("nvars", "cap", "terms")
+    The order within one degree does not depend on cap, so the basis for
+    cap - 1 is a prefix of the basis for cap and truncating is slicing.
+    ``down[g][i]`` is the index of monomial i divided by X_g, or -1 when X_g
+    does not divide it; ``steps[g]`` lists the pairs (i, down[g][i]) with
+    X_g dividing monomial i, in increasing i.
+    """
+
+    __slots__ = ("monos", "index", "down", "steps")
+
+    def __init__(self, nvars: int, cap: int):
+        monos = []
+        for deg in range(cap + 1):
+            for combo in combinations_with_replacement(range(nvars), deg):
+                key = [0] * nvars
+                for v in combo:
+                    key[v] += 1
+                monos.append(tuple(key))
+        self.monos = tuple(monos)
+        self.index = {m: i for i, m in enumerate(monos)}
+        self.down = tuple(
+            tuple(
+                self.index[m[:g] + (m[g] - 1,) + m[g + 1 :]] if m[g] else -1
+                for m in monos
+            )
+            for g in range(nvars)
+        )
+        self.steps = tuple(
+            tuple((i, p) for i, p in enumerate(down) if p >= 0) for down in self.down
+        )
+
+
+@lru_cache(maxsize=64)
+def _basis(nvars: int, cap: int) -> _Basis:
+    if nvars < 1 or cap < 0:
+        raise DomainError(f"no polynomial basis for {nvars} variables and cap {cap}")
+    return _Basis(nvars, cap)
+
+
+@lru_cache(maxsize=64)
+def _product_table(nvars: int, cap: int) -> tuple[tuple[int, ...], ...]:
+    """Row i: the index of monomial i times monomial j, for every j that fits.
+
+    The j that fit are those of degree <= cap - deg(i): a prefix of the basis.
+    """
+    basis = _basis(nvars, cap)
+    monos, index = basis.monos, basis.index
+    return tuple(
+        tuple(
+            index[tuple(a + b for a, b in zip(mi, mj))]
+            for mj in monos[: comb(nvars + cap - sum(mi), nvars)]
+        )
+        for mi in monos
+    )
+
+
+class TruncPoly:
+    """Integer polynomial in nvars variables, truncated above total degree cap.
+
+    Stored densely: ``coeffs[i]`` is the coefficient of the i-th monomial of
+    the degree-ordered basis for (nvars, cap).  ``terms`` reads the nonzero
+    coefficients as a dict keyed by exponent tuples.
+    """
+
+    __slots__ = ("nvars", "cap", "coeffs")
 
     def __init__(self, nvars: int, cap: int, terms: dict | None = None):
+        basis = _basis(nvars, cap)
+        coeffs = [0] * len(basis.monos)
+        for key, c in (terms or {}).items():
+            if not (
+                isinstance(key, tuple)
+                and len(key) == nvars
+                and all(isinstance(x, int) and x >= 0 for x in key)
+            ):
+                raise DomainError(f"malformed monomial {key!r} for {nvars} variables")
+            if sum(key) <= cap:
+                coeffs[basis.index[key]] = c
         self.nvars = nvars
         self.cap = cap
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c and sum(key) <= cap:
-                    self.terms[key] = c
+        self.coeffs = coeffs
+
+    @classmethod
+    def _wrap(cls, nvars: int, cap: int, coeffs: list) -> "TruncPoly":
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.cap = cap
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def const(cls, nvars: int, cap: int, c: int) -> "TruncPoly":
-        return cls(nvars, cap, {(0,) * nvars: c} if c else {})
+        return cls(nvars, cap, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars: int, cap: int, i: int) -> "TruncPoly":
         key = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, cap, {key: 1})
 
+    @property
+    def terms(self) -> dict:
+        monos = _basis(self.nvars, self.cap).monos
+        return {m: c for m, c in zip(monos, self.coeffs) if c}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.coeffs)
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.coeffs[0]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncPoly)
             and self.nvars == other.nvars
             and self.cap == other.cap
-            and self.terms == other.terms
+            and self.coeffs == other.coeffs
         )
 
+    def _same_ring(self, other) -> None:
+        if not isinstance(other, TruncPoly):
+            raise DomainError(f"cannot combine a TruncPoly with {type(other).__name__}")
+        if self.nvars != other.nvars or self.cap != other.cap:
+            raise DomainError(
+                f"operands differ: {self.nvars} variables cap {self.cap} against "
+                f"{other.nvars} variables cap {other.cap}"
+            )
+
     def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        res = TruncPoly(self.nvars, self.cap)
-        res.terms = out
-        return res
+        self._same_ring(other)
+        coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return TruncPoly._wrap(self.nvars, self.cap, coeffs)
 
     def __neg__(self) -> "TruncPoly":
-        res = TruncPoly(self.nvars, self.cap)
-        res.terms = {key: -c for key, c in self.terms.items()}
-        return res
+        return TruncPoly._wrap(self.nvars, self.cap, [-a for a in self.coeffs])
 
     def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        return self + (-other)
+        self._same_ring(other)
+        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        return TruncPoly._wrap(self.nvars, self.cap, coeffs)
 
     def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        cap = self.cap
-        out: dict = {}
-        left = [(key, sum(key), c) for key, c in self.terms.items()]
-        right = [(key, sum(key), c) for key, c in other.terms.items()]
-        for k1, d1, c1 in left:
-            for k2, d2, c2 in right:
-                if d1 + d2 > cap:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        res = TruncPoly(self.nvars, cap)
-        res.terms = out
-        return res
+        self._same_ring(other)
+        table = _product_table(self.nvars, self.cap)
+        right = other.coeffs
+        out = [0] * len(right)
+        for a, row in zip(self.coeffs, table):
+            if a:
+                for b, t in zip(right, row):
+                    if b:
+                        out[t] += a * b
+        return TruncPoly._wrap(self.nvars, self.cap, out)
 
     def recap(self, cap: int) -> "TruncPoly":
-        return TruncPoly(self.nvars, cap, self.terms)
+        size = len(_basis(self.nvars, cap).monos)
+        coeffs = self.coeffs[:size] + [0] * (size - len(self.coeffs))
+        return TruncPoly._wrap(self.nvars, cap, coeffs)
 
     def inv(self) -> "TruncPoly":
         """Inverse of a unit (constant term +-1) by the geometric series."""
         c = self.constant_term()
         if c not in (1, -1):
             raise DomainError("only units with constant term +-1 are invertible")
-        n = self - TruncPoly.const(self.nvars, self.cap, c)
-        q = n * TruncPoly.const(self.nvars, self.cap, c)
+        q = TruncPoly._wrap(self.nvars, self.cap, [0] + [c * a for a in self.coeffs[1:]])
         out = TruncPoly.const(self.nvars, self.cap, 1)
         term = out
         for _ in range(self.cap):
@@ -113,7 +199,7 @@ class TruncPoly:
             if term.is_zero():
                 break
             out = out + term
-        return out * TruncPoly.const(self.nvars, self.cap, c)
+        return TruncPoly._wrap(self.nvars, self.cap, [c * a for a in out.coeffs])
 
     def __repr__(self) -> str:
         return f"TruncPoly({self.terms!r})"
@@ -132,9 +218,8 @@ class MagnusMatrix:
         )
 
     def is_identity(self) -> bool:
-        return self.scalar.constant_term() == 1 and not (
-            self.scalar - TruncPoly.const(self.scalar.nvars, self.scalar.cap, 1)
-        ).terms and all(m.is_zero() for m in self.module)
+        s = self.scalar.coeffs
+        return s[0] == 1 and not any(s[1:]) and all(m.is_zero() for m in self.module)
 
 
 def mm_identity(params: GroupParams) -> MagnusMatrix:
@@ -164,29 +249,55 @@ def mm_comm(a: MagnusMatrix, b: MagnusMatrix) -> MagnusMatrix:
 def _gen_power(params: GroupParams, i: int, e: int) -> MagnusMatrix:
     """Closed form of the i-th generator image raised to any integer power."""
     d, k = params.rank, params.nilclass
-    scalar = TruncPoly(d, k, {})
-    for r in range(k + 1):
-        c = binom(e, r)
-        if c:
-            key = tuple(r if j == i else 0 for j in range(d))
-            scalar.terms[key] = c
-    mod = TruncPoly(d, k - 1, {})
-    for r in range(k):
-        c = binom(e, r + 1)
-        if c:
-            key = tuple(r if j == i else 0 for j in range(d))
-            mod.terms[key] = c
+
+    def key(r):
+        return tuple(r if j == i else 0 for j in range(d))
+
+    scalar = TruncPoly(d, k, {key(r): binom(e, r) for r in range(k + 1)})
+    mod = TruncPoly(d, k - 1, {key(r): binom(e, r + 1) for r in range(k)})
     module = tuple(mod if j == i else TruncPoly(d, k - 1) for j in range(d))
     return MagnusMatrix(scalar, module)
 
 
 def magnus_of_word(w: Word, params: GroupParams) -> MagnusMatrix:
-    acc = mm_identity(params)
+    """Fold the word's syllables into (s, m), right-multiplying in place.
+
+    A syllable (g, e) multiplies s by (1 + X_g)^e and adds s_low * u_e to m_g,
+    with u_e = ((1 + X_g)^e - 1) / X_g and s_low the old s cut to cap k - 1.
+    For e = -1 one forward sweep t[i] = s[i] - t[i / X_g] divides s by
+    1 + X_g (the degree order puts i / X_g before i), and then u_e * s_low is
+    -t_low.  Otherwise u = u_e * s_low is built by Horner's rule over
+    binom(e, r), r = 1..min(e, k) (all r <= k for e < 0), and
+    s * (1 + X_g)^e = s + X_g * u: at most k sweeps whatever |e| is.
+    """
+    d, k = params.rank, params.nilclass
+    top, low = _basis(d, k), _basis(d, k - 1)
+    n_low = len(low.monos)
+    s = [1] + [0] * (len(top.monos) - 1)
+    module = [[0] * n_low for _ in range(d)]
     for g, e in w.letters:
-        if not 0 <= g < params.rank:
-            raise DomainError(f"generator index {g} out of range for rank {params.rank}")
-        acc = mm_mul(acc, _gen_power(params, g, e))
-    return acc
+        if not 0 <= g < d:
+            raise DomainError(f"generator index {g} out of range for rank {d}")
+        if e == -1:
+            for i, p in top.steps[g]:
+                s[i] -= s[p]
+            module[g] = [a - b for a, b in zip(module[g], s)]
+            continue
+        s_low = s[:n_low]
+        r_max = min(e, k) if e > 0 else k
+        c = binom(e, r_max)
+        u = [c * a for a in s_low]
+        down = low.down[g]
+        for r in range(r_max - 1, 0, -1):
+            c = binom(e, r)
+            u.append(0)  # read by down[i] == -1: X_g does not divide monomial i
+            u = [c * a + u[p] for a, p in zip(s_low, down)]
+        module[g] = [a + b for a, b in zip(module[g], u)]
+        for i, p in top.steps[g]:
+            s[i] += u[p]
+    return MagnusMatrix(
+        TruncPoly._wrap(d, k, s), tuple(TruncPoly._wrap(d, k - 1, m) for m in module)
+    )
 
 
 def oracle_equal(w1: Word, w2: Word, params: GroupParams) -> bool:

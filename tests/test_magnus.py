@@ -1,11 +1,14 @@
+import operator
 import random
+from functools import reduce
 
 import pytest
 
-from metanil.core import collect
+from metanil.core import binom, collect, enumerate_basics
 from metanil.magnus import (
     SelfCheckReport,
     TruncPoly,
+    _gen_power,
     kernel_selfcheck,
     magnus_of_word,
     mm_identity,
@@ -127,3 +130,136 @@ def test_oracle_collector_agreement_at_class_six():
             assert (collect(w1, params) == collect(w2, params)) == oracle_equal(
                 w1, w2, params
             )
+
+
+# --- the dense kernel against references kept here -------------------------
+
+
+def _sparse_mul(p: dict, q: dict, cap: int) -> dict:
+    """Reference product: the pairwise dict algorithm the dense kernel replaced."""
+    out: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            if sum(k1) + sum(k2) > cap:
+                continue
+            key = tuple(a + b for a, b in zip(k1, k2))
+            v = out.get(key, 0) + c1 * c2
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _random_terms(rng: random.Random, nvars: int, cap: int, unit: int = 0) -> dict:
+    terms = {}
+    for _ in range(rng.randrange(1, 12)):
+        deg = rng.randrange(0 if not unit else 1, cap + 1)
+        key = [0] * nvars
+        for _ in range(deg):
+            key[rng.randrange(nvars)] += 1
+        if rng.random() < 0.3:
+            c = rng.choice([1, -1]) * binom(10**30, rng.randrange(cap + 1)) + rng.randrange(-3, 4)
+        else:
+            c = rng.randrange(-5, 6)
+        terms[tuple(key)] = c
+    if unit:
+        terms[(0,) * nvars] = unit
+    return terms
+
+
+SHAPES = [(2, 3), (3, 4), (3, 5), (4, 5), (2, 8)]
+
+
+@pytest.mark.parametrize("nvars,cap", SHAPES)
+def test_dense_product_matches_sparse_reference(nvars, cap):
+    rng = random.Random(1000 * nvars + cap)
+    for _ in range(30):
+        p, q = _random_terms(rng, nvars, cap), _random_terms(rng, nvars, cap)
+        prod = TruncPoly(nvars, cap, p) * TruncPoly(nvars, cap, q)
+        want = {key: c for key, c in p.items() if c}
+        assert TruncPoly(nvars, cap, p).terms == want
+        assert prod.terms == _sparse_mul(want, {key: c for key, c in q.items() if c}, cap)
+        for low in range(cap + 1):
+            assert TruncPoly(nvars, cap, p).recap(low).terms == {
+                key: c for key, c in want.items() if sum(key) <= low
+            }
+
+
+@pytest.mark.parametrize("nvars,cap", SHAPES)
+def test_inverse_round_trips(nvars, cap):
+    rng = random.Random(7 + 1000 * nvars + cap)
+    one = TruncPoly.const(nvars, cap, 1)
+    for _ in range(15):
+        p = TruncPoly(nvars, cap, _random_terms(rng, nvars, cap, unit=rng.choice([1, -1])))
+        q = p.inv()
+        assert p * q == one and q * p == one
+        assert q.inv() == p
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize(
+    "left,right",
+    [((2, 3), (3, 3)), ((3, 3), (2, 3)), ((2, 3), (2, 4)), ((2, 4), (2, 3))],
+)
+def test_mismatched_operands_raise(op, left, right):
+    # one variable of the wider ring stays nonzero after a zip of the keys
+    p = TruncPoly(*left, {(1,) + (0,) * (left[0] - 1): 1})
+    q = TruncPoly(*right, {(0,) * (right[0] - 2) + (1, 1): 1})
+    with pytest.raises(DomainError):
+        op(p, q)
+
+
+def test_mismatched_operand_example():
+    with pytest.raises(DomainError):
+        TruncPoly(2, 3, {(1, 0): 1}) * TruncPoly(3, 3, {(0, 1, 1): 1})
+
+
+@pytest.mark.parametrize("key", [(1,), (1, 0, 0), (-1, 1), (1, -2), (0.5, 0), "ab", 3])
+def test_malformed_keys_raise(key):
+    with pytest.raises(DomainError):
+        TruncPoly(2, 3, {key: 1})
+
+
+@pytest.mark.parametrize("d,k", [(2, 4), (3, 5), (2, 6), (4, 3)])
+def test_syllable_fold_matches_closed_form_factors(d, k):
+    params = GroupParams(d, k)
+    rng = random.Random(31 * d + k)
+    for e in (1, -1, 2, -2, 7, -7, 10**30):
+        for _ in range(6):
+            letters = []
+            for _ in range(rng.randrange(1, 9)):
+                g = rng.randrange(d)
+                letters.append((g, e if rng.random() < 0.6 else rng.choice([1, -1, e])))
+            w = Word(tuple(letters))
+            factors = [_gen_power(params, g, x) for g, x in w.letters]
+            assert magnus_of_word(w, params) == reduce(mm_mul, factors, mm_identity(params))
+
+
+def _benchmark_shaped_pair(rng: random.Random, params: GroupParams, equal: bool):
+    names = "abc"
+
+    def sub(n):
+        return " ".join(g if rng.random() < 0.5 else f"{g}^-1" for g in rng.sample(names, n))
+
+    factors = [f"({sub(3)})^{rng.choice([1, -1]) * rng.randint(50, 55)}" for _ in range(2)]
+    if equal:
+        x, y, z, t = (sub(2) for _ in range(4))
+        insert = f"[[{x},{y}],[{z},{t}]]"
+    else:
+        seq = rng.choice(enumerate_basics(params, rng.randint(2, params.nilclass)))
+        insert = "[" + ",".join(names[g] for g in seq) + f"]^{rng.choice([1, -1, 2, -2])}"
+    pos = rng.randrange(3)
+    w2 = factors[:pos] + [insert] + factors[pos:]
+    return parse_word(" ".join(factors), params), parse_word(" ".join(w2), params)
+
+
+def test_oracle_collector_agreement_on_long_powered_words():
+    params = GroupParams(3, 5)
+    rng = random.Random(55)
+    for i in range(8):
+        equal = i % 2 == 0
+        w1, w2 = _benchmark_shaped_pair(rng, params, equal)
+        assert len(w1.letters) >= 300
+        assert oracle_equal(w1, w2, params) is equal
+        assert (collect(w1, params) == collect(w2, params)) is equal

@@ -7,7 +7,6 @@ normality of automorphisms, plus a CLI front end (``metanil``).
 
 import sys
 
-from . import core
 from .words import (
     DomainError,
     GroupParams,
@@ -106,4 +105,3 @@ def clear_caches() -> None:
         for val in vars(mod).values():
             if getattr(val, "__module__", None) == name and hasattr(val, "cache_clear"):
                 val.cache_clear()
-    core._APPEND_CACHE.clear()

@@ -459,6 +459,9 @@ def _inner_conjugator_explain(
         if all(x.is_identity for x in defects):
             break
         layer = w + 1
+        if any(x.min_weight() < layer for x in defects):
+            # the solves so far should have cleared every layer below this one
+            raise RuntimeError(f"conjugator search left a defect below layer {layer}")
         # generators at layer 1, the weight-w basics above it
         unknowns = gens if w == 1 else [
             derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)
@@ -519,27 +522,3 @@ def apply_poly_auto(data: PolyAutoData, x: Element) -> Element:
 
 def epsilon_sum(data: PolyAutoData) -> int:
     return sum(eps for _, eps in data.pairs)
-
-
-def poly_to_json(data: PolyAutoData) -> dict:
-    return {
-        "rank": data.params.rank,
-        "class": data.params.nilclass,
-        "pairs": [
-            {"u": element_to_json(u), "epsilon": e} for u, e in data.pairs
-        ],
-    }
-
-
-def poly_from_json(obj: dict, params: GroupParams | None = None) -> PolyAutoData:
-    if "rank" in obj and "class" in obj:
-        params = GroupParams(int(obj["rank"]), int(obj["class"]))
-    pairs = []
-    for item in obj.get("pairs", ()):
-        u = element_from_json(item["u"], params)
-        if params is None:
-            params = u.params
-        pairs.append((u, int(item["epsilon"])))
-    if params is None:
-        raise DomainError("cannot infer group parameters from empty data")
-    return PolyAutoData(params, tuple(pairs))

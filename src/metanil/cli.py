@@ -75,64 +75,12 @@ def _load_map(arg: str | None, params: GroupParams):
     raise ParseError("payload must contain 'images' or 'pairs'", 0)
 
 
-def build_parser() -> _ArgumentParser:
-    top = _ArgumentParser(prog="metanil", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
+def _as_spec(mapping):
+    return gen_inner_to_spec(mapping) if isinstance(mapping, GenInnerData) else mapping
 
-    def common(p):
-        p.add_argument("--rank", type=int, default=2, help="number of generators")
-        p.add_argument(
-            "--class", dest="nilclass", type=int, default=3, help="nilpotency class"
-        )
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=None)
 
-    p = sub.add_parser("nf", help="canonical form of a word")
-    common(p)
-    p.add_argument("word")
-
-    p = sub.add_parser("eq", help="decide equality of two words in the group")
-    common(p)
-    p.add_argument("word1")
-    p.add_argument("word2")
-
-    p = sub.add_parser("apply", help="apply an automorphism payload to an element")
-    common(p)
-    p.add_argument("spec", help="JSON payload (inline, @file or -)")
-    p.add_argument("element", help="word or element JSON")
-
-    p = sub.add_parser("compose", help="compose two automorphism payloads (g o f)")
-    common(p)
-    p.add_argument("spec_g")
-    p.add_argument("spec_f")
-
-    p = sub.add_parser("invert", help="invert an IA spec or pair data")
-    common(p)
-    p.add_argument("spec")
-
-    p = sub.add_parser("is-inner", help="decide whether an IA spec is a conjugation")
-    common(p)
-    p.add_argument("spec")
-
-    p = sub.add_parser(
-        "synthesize",
-        help="decide generalized-inner-ness and synthesize witness data",
-    )
-    common(p)
-    p.add_argument("spec")
-
-    p = sub.add_parser("oracle-selftest", help="kernel audit and oracle agreement")
-    common(p)
-
-    p = sub.add_parser("verify-paper", help="run a pinned verification suite")
-    common(p)
-    p.add_argument(
-        "--suite",
-        choices=sorted(SUITES) + ["all"],
-        default="all",
-    )
-    return top
+def _print_element(x, as_json: bool) -> None:
+    print(json.dumps(element_to_json(x)) if as_json else str(x))
 
 
 def _emit_report(rep, as_json: bool) -> int:
@@ -143,129 +91,140 @@ def _emit_report(rep, as_json: bool) -> int:
     return EXIT_OK if rep.ok else EXIT_VERIFY
 
 
-def _run(args) -> int:
-    params = GroupParams(args.rank, args.nilclass)
-    cfg = CliConfig(
-        rank=args.rank,
-        nilclass=args.nilclass,
-        json_out=args.json,
-        seed=args.seed,
-        samples=args.samples,
-    )
-    cmd = args.command
+def _nf(args, params):
+    _print_element(collect_text(args.word, params), args.json)
 
-    if cmd == "nf":
-        elt = collect_text(args.word, params)
-        print(json.dumps(element_to_json(elt)) if args.json else str(elt))
-        return EXIT_OK
 
-    if cmd == "eq":
-        lhs = collect_text(args.word1, params)
-        rhs = collect_text(args.word2, params)
-        same = lhs == rhs
-        if args.json:
-            print(json.dumps({"equal": same}))
-        else:
-            print("equal" if same else "not equal")
-        return EXIT_OK
+def _eq(args, params):
+    same = collect_text(args.word1, params) == collect_text(args.word2, params)
+    if args.json:
+        print(json.dumps({"equal": same}))
+    else:
+        print("equal" if same else "not equal")
 
-    if cmd == "apply":
-        mapping = _load_map(args.spec, params)
-        x = element_from_text(_payload(args.element), params)
-        if isinstance(mapping, GenInnerData):
-            img = apply_gen_inner(mapping, x)
-        else:
-            img = apply_endo(mapping, x)
-        print(json.dumps(element_to_json(img)) if args.json else str(img))
-        return EXIT_OK
 
-    if cmd == "compose":
-        g = _load_map(args.spec_g, params)
-        f = _load_map(args.spec_f, params)
-        if isinstance(g, GenInnerData) and isinstance(f, GenInnerData):
-            comp = compose_gen_inner(g, f)
-            print(json.dumps(gen_inner_to_json(comp), indent=None))
-        else:
-            gs = gen_inner_to_spec(g) if isinstance(g, GenInnerData) else g
-            fs = gen_inner_to_spec(f) if isinstance(f, GenInnerData) else f
-            print(json.dumps(spec_to_json(compose_endo(gs, fs))))
-        return EXIT_OK
+def _apply(args, params):
+    mapping = _load_map(args.spec, params)
+    x = element_from_text(_payload(args.element), params)
+    apply = apply_gen_inner if isinstance(mapping, GenInnerData) else apply_endo
+    _print_element(apply(mapping, x), args.json)
 
-    if cmd == "invert":
-        mapping = _load_map(args.spec, params)
-        if isinstance(mapping, GenInnerData):
-            print(json.dumps(gen_inner_to_json(invert_gen_inner(mapping))))
-        else:
-            print(json.dumps(spec_to_json(invert_ia(mapping))))
-        return EXIT_OK
 
-    if cmd == "is-inner":
-        mapping = _load_map(args.spec, params)
-        if isinstance(mapping, GenInnerData):
-            mapping = gen_inner_to_spec(mapping)
-        u = is_inner(mapping)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "inner": u is not None,
-                        "conjugator": None if u is None else element_to_json(u),
-                    }
-                )
-            )
-        else:
-            print("not inner" if u is None else f"inner: conjugation by {u}")
-        return EXIT_OK
+def _compose(args, params):
+    g = _load_map(args.spec_g, params)
+    f = _load_map(args.spec_f, params)
+    if isinstance(g, GenInnerData) and isinstance(f, GenInnerData):
+        print(json.dumps(gen_inner_to_json(compose_gen_inner(g, f))))
+    else:
+        print(json.dumps(spec_to_json(compose_endo(_as_spec(g), _as_spec(f)))))
 
-    if cmd == "synthesize":
-        mapping = _load_map(args.spec, params)
-        if isinstance(mapping, GenInnerData):
-            mapping = gen_inner_to_spec(mapping)
-        res = synthesize_gen_inner(mapping)
-        if isinstance(res, NotGeneralizedInner):
-            if args.json:
-                print(json.dumps(res.to_json()))
-            else:
-                print(
-                    "not generalized inner: witness generator "
-                    f"{res.witness_generator}, layer {res.layer}"
-                )
-        else:
-            if args.json:
-                print(json.dumps(gen_inner_to_json(res)))
-            else:
-                pairs = ", ".join(f"({u}; {lam})" for u, lam in res.pairs)
-                print(f"generalized inner: [{pairs}]")
-        return EXIT_OK
 
-    if cmd == "oracle-selftest":
-        return _emit_report(oracle_selftest(cfg), args.json)
+def _invert(args, params):
+    mapping = _load_map(args.spec, params)
+    if isinstance(mapping, GenInnerData):
+        print(json.dumps(gen_inner_to_json(invert_gen_inner(mapping))))
+    else:
+        print(json.dumps(spec_to_json(invert_ia(mapping))))
 
-    if cmd == "verify-paper":
-        if args.suite == "all":
-            reports = [verify_paper(name, cfg) for name in sorted(SUITES)]
-            code = EXIT_OK
-            if args.json:
-                print(json.dumps([r.to_json() for r in reports], indent=2))
-            for rep in reports:
-                if not args.json:
-                    print("\n".join(rep.lines()))
-                if not rep.ok:
-                    code = EXIT_VERIFY
-            return code
+
+def _is_inner(args, params):
+    u = is_inner(_as_spec(_load_map(args.spec, params)))
+    if args.json:
+        conj = None if u is None else element_to_json(u)
+        print(json.dumps({"inner": u is not None, "conjugator": conj}))
+    else:
+        print("not inner" if u is None else f"inner: conjugation by {u}")
+
+
+def _synthesize(args, params):
+    res = synthesize_gen_inner(_as_spec(_load_map(args.spec, params)))
+    refused = isinstance(res, NotGeneralizedInner)
+    if args.json:
+        print(json.dumps(res.to_json() if refused else gen_inner_to_json(res)))
+    elif refused:
+        print(
+            "not generalized inner: witness generator "
+            f"{res.witness_generator}, layer {res.layer}"
+        )
+    else:
+        pairs = ", ".join(f"({u}; {lam})" for u, lam in res.pairs)
+        print(f"generalized inner: [{pairs}]")
+
+
+def _oracle_selftest(args, params):
+    cfg = CliConfig(seed=args.seed, samples=args.samples)
+    return _emit_report(oracle_selftest(cfg), args.json)
+
+
+def _verify_paper(args, params):
+    cfg = CliConfig(seed=args.seed, samples=args.samples)
+    if args.suite != "all":
         return _emit_report(verify_paper(args.suite, cfg), args.json)
+    reports = [verify_paper(name, cfg) for name in sorted(SUITES)]
+    if args.json:
+        print(json.dumps([r.to_json() for r in reports], indent=2))
+    else:
+        for rep in reports:
+            print("\n".join(rep.lines()))
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY
 
-    raise AssertionError(f"unhandled command {cmd!r}")
+
+_PAYLOAD = "JSON payload (inline, @file or -)"
+_ARG_HELP = {"spec": _PAYLOAD, "spec_g": _PAYLOAD, "spec_f": _PAYLOAD,
+             "element": "word or element JSON"}
+_SAMPLING = (("--seed", dict(type=int, default=0)),
+             ("--samples", dict(type=int, default=None)))
+_SUITE = ("--suite", dict(choices=sorted(SUITES) + ["all"], default="all"))
+
+# verb -> (help, positional arguments, handler, options beyond --rank/--class/--json);
+# a handler prints its result and returns an exit code, or None for success
+VERBS = {
+    "nf": ("canonical form of a word", ("word",), _nf, ()),
+    "eq": ("decide equality of two words in the group", ("word1", "word2"), _eq, ()),
+    "apply": ("apply an automorphism payload to an element", ("spec", "element"),
+              _apply, ()),
+    "compose": ("compose two automorphism payloads (g o f); prints JSON",
+                ("spec_g", "spec_f"), _compose, ()),
+    "invert": ("invert an IA spec or pair data; prints JSON", ("spec",), _invert, ()),
+    "is-inner": ("decide whether an IA spec is a conjugation", ("spec",),
+                 _is_inner, ()),
+    "synthesize": ("decide generalized-inner-ness and synthesize witness data",
+                   ("spec",), _synthesize, ()),
+    "oracle-selftest": ("kernel audit and oracle agreement", (), _oracle_selftest,
+                        _SAMPLING),
+    "verify-paper": ("run a pinned verification suite", (), _verify_paper,
+                     _SAMPLING + (_SUITE,)),
+}
+
+
+def build_parser() -> _ArgumentParser:
+    top = _ArgumentParser(prog="metanil", description=__doc__)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, positionals, handler, options) in VERBS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--rank", type=int, default=2, help="number of generators")
+        p.add_argument(
+            "--class", dest="nilclass", type=int, default=3, help="nilpotency class"
+        )
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        for arg in positionals:
+            p.add_argument(arg, help=_ARG_HELP.get(arg))
+        p.set_defaults(handler=handler)
+    return top
+
+
+PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _run(args)
+        return args.handler(args, GroupParams(args.rank, args.nilclass)) or EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

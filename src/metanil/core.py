@@ -137,20 +137,13 @@ def _vadd(acc: DVec, src: DVec, scale: int = 1) -> None:
             acc.pop(s, None)
 
 
-_APPEND_CACHE: dict[tuple[Basic, int], tuple[tuple[Basic, int], ...]] = {}
-
-
 def _apply_d(vec: DVec, j: int, k: int) -> DVec:
     """D_j: weight-graded map sending a bracket c to [c, a_j] in the basis."""
     out: DVec = {}
-    cache = _APPEND_CACHE
     for seq, c in vec.items():
         if len(seq) >= k:
             continue
-        hit = cache.get((seq, j))
-        if hit is None:
-            hit = cache[(seq, j)] = _normalize_raw(seq + (j,))
-        for s2, sgn in hit:
+        for s2, sgn in _normalize_raw(seq + (j,)):
             v = out.get(s2, 0) + sgn * c
             if v:
                 out[s2] = v
@@ -256,9 +249,6 @@ class Element:
     @property
     def is_identity(self) -> bool:
         return not self.derived and not any(self.exp)
-
-    def in_derived_subgroup(self) -> bool:
-        return not any(self.exp)
 
     def min_weight(self) -> int:
         """Least nonzero layer: 1 if the exponent part moves, else the lightest bracket."""

@@ -170,9 +170,6 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class CliConfig:
-    rank: int = 2
-    nilclass: int = 3
-    json_out: bool = False
     seed: int = 0
     samples: int | None = None
 

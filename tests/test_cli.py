@@ -181,3 +181,36 @@ def test_failing_report_exits_4(capsys):
     assert _emit_report(rep, False) == 4
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
+    import metanil.cli as cli
+
+    def rebuilt():
+        raise AssertionError("the parser is built once, at import")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    for _ in range(2):
+        code, out, _ = run(capsys, "nf", "--rank", "2", "--class", "3", "(a b)^2")
+        assert code == 0 and out.strip() == "a^2 b^2 [b,a] [b,a,b]"
+
+
+def test_sampling_options_only_where_they_act(capsys):
+    # the seven verbs that sample nothing reject --seed and --samples
+    spec = '{"images": ["a", "b"]}'
+    for verb, args in [
+        ("nf", ["a"]),
+        ("eq", ["a", "a"]),
+        ("apply", [spec, "a"]),
+        ("compose", [spec, spec]),
+        ("invert", [spec]),
+        ("is-inner", [spec]),
+        ("synthesize", [spec]),
+    ]:
+        for flag in ("--seed", "--samples"):
+            code, out, _ = run(capsys, verb, flag, "1", *args)
+            assert code == 1 and out == "", (verb, flag)
+    code, out, _ = run(capsys, "verify-paper", "--suite", "class2", "--seed", "2", "--samples", "3")
+    assert code == 0 and "(3 maps)" in out
+    code, out, _ = run(capsys, "oracle-selftest", "--seed", "2", "--samples", "3")
+    assert code == 0 and "on 3 pairs" in out

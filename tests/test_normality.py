@@ -534,3 +534,9 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch):
         synthesize_gen_inner(f)
     with pytest.raises(RuntimeError):
         is_inner(f)
+    # at class 3 the wrong layer-1 solve leaves a weight-2 defect, which the
+    # layer-3 system cannot read; that is the same fault, not bad input
+    p = GroupParams(2, 3)
+    f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
+    with pytest.raises(RuntimeError):
+        is_inner(f)

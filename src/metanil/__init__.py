@@ -9,6 +9,7 @@ import sys
 
 from .words import (
     DomainError,
+    EngineFault,
     GroupParams,
     ParseError,
     Word,
@@ -47,11 +48,9 @@ from .magnus import (
 from .autos import (
     AutoSpec,
     GenInnerData,
-    NestedGenInnerData,
     PolyAutoData,
     apply_endo,
     apply_gen_inner,
-    apply_nested,
     apply_poly_auto,
     aut_commutator,
     class2_conjugator,

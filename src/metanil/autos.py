@@ -1,24 +1,28 @@
 """The automorphism calculus: endomorphisms by generator images, maps of the
 shape x -> x * prod [x, u_i]^lambda(i), their closed-form composition and
-iterative inversion, inner-ness decisions, and the x -> prod u_i^-1 x^e_i u_i
+inversion, inner-ness decisions, and the x -> prod u_i^-1 x^e_i u_i
 product maps.
 
 A map x -> x * prod [x, u_i]^lambda(i) is an endomorphism of any metabelian
-group and an automorphism of any metabelian nilpotent one; composing two such
-maps stays in the family, with the cross terms [x, u_i, v_j] folded back to
-flat pairs via [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz].  One routine,
-compose_gen_inner, composes both flat pair data and nested data
-x -> x * prod [x, v_1, ..., v_s]^eta, in either argument; inversion and the
-class induction of the decision both go through it.  Data equality is not
+group and an automorphism of any metabelian nilpotent one.  Write it as
+1 + A with A = sum_i lambda_i e(u_i).  Composition multiplies bracket tails,
+(1 + B)(1 + A) = 1 + A + B + AB, where AB holds the cross terms
+[x, u_i, v_j]; flatten folds such nested terms back to flat pairs via
+[x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz].  compose_gen_inner is this
+product, invert_gen_inner the finite series sum_r (-A)^r, and the top-layer
+correction of the decision is flattened the same way.  Data equality is not
 canonical for these maps, so the official equivalence everywhere is
-extensional (apply-based); the stored pair list is only brought to a normal
-form that the bracket cannot distinguish from the input.
+extensional (equal gen_inner_to_spec images); the stored pair list is only
+brought to a normal form that the bracket cannot distinguish from the input.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .core import (
     Basic,
@@ -35,13 +39,14 @@ from .core import (
     gen_element,
     identity,
     inverse,
+    json_int,
     left_normed,
     mul,
     power,
     truncate_weight,
 )
 from .intsolve import InfeasibilityCertificate, integer_solve_explain
-from .words import DomainError, GroupParams
+from .words import DomainError, EngineFault, GroupParams
 
 
 # --- endomorphisms by generator images ---------------------------------------
@@ -134,7 +139,7 @@ def invert_ia(f: AutoSpec) -> AutoSpec:
             defect = mul(inverse(gen_element(params, i)), c.images[i])
             images.append(mul(gen_element(params, i), inverse(defect)))
         g = compose_endo(AutoSpec(params, tuple(images)), g)
-    raise RuntimeError("defect correction failed to terminate")
+    raise EngineFault("defect correction failed to terminate")
 
 
 def aut_commutator(f: AutoSpec, g: AutoSpec) -> AutoSpec:
@@ -156,10 +161,10 @@ def spec_to_json(f: AutoSpec) -> dict:
 
 def spec_from_json(obj: dict, params: GroupParams | None = None) -> AutoSpec:
     if "rank" in obj and "class" in obj:
-        params = GroupParams(int(obj["rank"]), int(obj["class"]))
+        params = GroupParams(json_int(obj["rank"]), json_int(obj["class"]))
     if params is None:
         first = obj["images"][0]
-        params = GroupParams(int(first["rank"]), int(first["class"]))
+        params = GroupParams(json_int(first["rank"]), json_int(first["class"]))
     images = tuple(element_from_json(img, params) for img in obj["images"])
     return AutoSpec(params, images)
 
@@ -220,22 +225,6 @@ class GenInnerData:
         return GenInnerData(self.params, tuple((u, -lam) for u, lam in self.pairs))
 
 
-@dataclass(frozen=True)
-class NestedGenInnerData:
-    """Terms (v_1..v_s, eta) encoding x -> x * prod [x, v_1, ..., v_s]^eta."""
-
-    params: GroupParams
-    terms: tuple[tuple[tuple[Element, ...], int], ...] = ()
-
-    def __post_init__(self):
-        for tail, _ in self.terms:
-            if not tail:
-                raise DomainError("nested term needs a nonempty tail")
-            for v in tail:
-                if v.params != self.params:
-                    raise DomainError("term parameters do not match")
-
-
 def apply_gen_inner(data: GenInnerData, x: Element) -> Element:
     """x * prod [x, u_i]^lambda(i); all factors commute (they live in M')."""
     if data.params != x.params:
@@ -254,30 +243,28 @@ def gen_inner_to_spec(data: GenInnerData) -> AutoSpec:
     )
 
 
-def apply_nested(nested: NestedGenInnerData, x: Element) -> Element:
-    total: DVec = {}
-    for tail, eta in nested.terms:
-        _vadd(total, left_normed([x, *tail]).dmap(), eta)
-    return mul(x, derived_element(nested.params, total))
+def flatten(params: GroupParams, terms) -> GenInnerData:
+    """Flat data of x -> x * prod [x, v_1, ..., v_s]^eta over (tail, eta) terms.
 
-
-def flatten(nested: NestedGenInnerData) -> GenInnerData:
-    """Flat form of a nested map, by [x,y,z] = [x,y]^-1 [x,z]^-1 [x,yz].
-
-    A term [x, v_1, ..., v_s] has weight at least 1 + sum of the tail
-    weights, so terms whose bound exceeds the class are dead and skipped;
-    for the same reason each tail element only matters modulo weight k - s
-    and is truncated before composites are built, which keeps the element
-    pool small.  Tails recur heavily across compositions, so the per-term
-    expansion is cached.
+    Each term is expanded by [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz].  A term
+    [x, v_1, ..., v_s] has weight at least 1 + sum of the tail weights, so
+    terms whose bound exceeds the class are dead and skipped; for the same
+    reason each tail element only matters modulo weight k - s and is
+    truncated before composites are built, which keeps the element pool
+    small.  Tails recur heavily across calls, so the per-term expansion is
+    cached.
     """
-    k = nested.params.nilclass
+    k = params.nilclass
     pairs: list[tuple[Element, int]] = []
-    for tail, eta in nested.terms:
-        if eta:
+    for tail, eta in terms:
+        if not tail:
+            raise DomainError("a term needs a nonempty tail")
+        if any(v.params != params for v in tail):
+            raise DomainError("term parameters do not match")
+        if eta and 1 + sum(v.min_weight() for v in tail) <= k:
             for u, c in _flatten_term(tuple(tail), k):
                 pairs.append((u, c * eta))
-    return GenInnerData(nested.params, tuple(pairs))
+    return GenInnerData(params, tuple(pairs))
 
 
 @lru_cache(maxsize=1 << 15)
@@ -305,92 +292,61 @@ def _flatten_term(tail: tuple[Element, ...], k: int) -> tuple[tuple[Element, int
     return tuple(out.items())
 
 
-def _tails_and_pairs(data: GenInnerData | NestedGenInnerData):
-    """Nested tails and flat pairs of either form; a pair (u, lam) is the tail (u,)."""
-    if isinstance(data, NestedGenInnerData):
-        return data.terms, flatten(data).pairs
-    return tuple(((u,), lam) for u, lam in data.pairs), data.pairs
-
-
-def compose_gen_inner(
-    psi: GenInnerData | NestedGenInnerData, phi: GenInnerData | NestedGenInnerData
-) -> GenInnerData:
+def compose_gen_inner(psi: GenInnerData, phi: GenInnerData) -> GenInnerData:
     """Data of psi o phi (phi applied first), by the closed product formula.
 
-    With phi = prod [x, S_i]^mu(i) and psi = prod [x, T_j]^eta(j) over tails
-    S_i, T_j (a flat pair (u, lam) is the one-element tail (u,)),
+    With phi = prod [x, u_i]^mu(i) and psi = prod [x, v_j]^eta(j),
 
-    psi o phi (x) = x * prod [x,S_i]^mu(i) * prod [x,T_j]^eta(j)
-                      * prod prod [x,S_i,T_j]^(mu(i)eta(j)),
+    psi o phi (x) = x * prod [x,u_i]^mu(i) * prod [x,v_j]^eta(j)
+                      * prod prod [x,u_i,v_j]^(mu(i)eta(j)).
 
-    so either argument may be nested; the cross terms keep their visible
-    weight, and those past the class are skipped.  phi, psi and the cross
-    block are each flattened and normalised on their own, then concatenated
-    in that order, which fixes the order of the output pairs.
+    The cross terms keep their visible weight, and those past the class are
+    skipped.  phi, psi and the flattened cross block are concatenated in
+    that order, which fixes the order of the output pairs.
     """
     if psi.params != phi.params:
         raise DomainError("parameter mismatch between data")
-    k = psi.params.nilclass
-    phi_tails, phi_pairs = _tails_and_pairs(phi)
-    psi_tails, psi_pairs = _tails_and_pairs(psi)
-    cross = NestedGenInnerData(
-        psi.params,
-        tuple(
-            (s + t, mu * eta)
-            for s, mu in phi_tails
-            for t, eta in psi_tails
-            if 1 + sum(v.min_weight() for v in s + t) <= k
-        ),
-    )
-    return GenInnerData(psi.params, phi_pairs + psi_pairs + flatten(cross).pairs)
-
-
-def _is_extensionally_identity(data: GenInnerData) -> bool:
-    params = data.params
-    return all(
-        apply_gen_inner(data, gen_element(params, i)) == gen_element(params, i)
-        for i in range(params.rank)
+    cross = [((u, v), mu * eta) for u, mu in phi.pairs for v, eta in psi.pairs]
+    return GenInnerData(
+        psi.params, phi.pairs + psi.pairs + flatten(psi.params, cross).pairs
     )
 
 
 def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
-    """Inverse data by repeated sign-negated composition.
+    """Inverse data by the closed-form series (1 + A)^-1 = 1 + sum_r (-A)^r.
 
-    The residual psi_t o phi is kept in nested form, where the tail length
-    witnesses the weight; composing with its own negation cancels the flat
-    part and leaves the self-cross terms
+    Write phi = 1 + A with A = sum_i lambda_i e(u_i).  Composition multiplies
+    tails (compose_gen_inner: (1 + B)(1 + A) = 1 + A + B + AB), so A^r is
+    the sum of the r-tails [x, u_i1, ..., u_ir] with coefficient
+    lambda_i1 ... lambda_ir.  Tail positions after the first commute
+    ([m, v, w] = [m, w, v] for m in M'), so each term is one first pair and
+    a multiset of the rest, weighted by its multinomial count.
 
-        x -> x * prod_i prod_j [x, tail_i, tail_j]^(-eta_i eta_j),
-
-    so the residual weight at least doubles per round and the loop clears
-    the nilpotency class after about log2(k) rounds.
+    If phi moves every generator by an element of weight >= s + 1, then A
+    maps gamma_j into gamma_(j+s), so psi o phi = 1 - (-A)^(r_max + 1) is
+    the identity once r_max = (k - 1) // s; the series stops there.
     """
     params = phi.params
     k = params.nilclass
-    psi = GenInnerData(params)
-    residual = tuple(((u,), lam) for u, lam in phi.pairs)
-    for _ in range(k + 2):
-        residual = tuple(
-            (tail, eta)
-            for tail, eta in (
-                (tuple(truncate_weight(v, k - len(t)) for v in t), e)
-                for t, e in residual
-            )
-            if eta and 1 + sum(v.min_weight() for v in tail) <= k
+    gens = [gen_element(params, i) for i in range(params.rank)]
+    images = gen_inner_to_spec(phi).images
+    s = min(mul(inverse(a), img).min_weight() for a, img in zip(gens, images)) - 1
+    terms: list[tuple[tuple[Element, ...], int]] = []
+    for r in range(1, (k - 1) // s + 1):
+        rests = []
+        for rest in combinations_with_replacement(range(len(phi.pairs)), r - 1):
+            count = math.factorial(r - 1)
+            for m in Counter(rest).values():
+                count //= math.factorial(m)
+            tail = tuple(phi.pairs[j][0] for j in rest)
+            rests.append((tail, count * math.prod(phi.pairs[j][1] for j in rest)))
+        terms.extend(
+            ((u, *tail), (-1) ** r * lam * c) for u, lam in phi.pairs for tail, c in rests
         )
-        nested = NestedGenInnerData(params, residual)
-        if not residual or _is_extensionally_identity(flatten(nested)):
-            if not _is_extensionally_identity(compose_gen_inner(psi, phi)):
-                raise RuntimeError("inversion audit failed")
-            return psi
-        negated = NestedGenInnerData(
-            params, tuple((tail, -eta) for tail, eta in residual)
-        )
-        psi = compose_gen_inner(negated, psi)
-        residual = tuple(
-            (ti + tj, -ei * ej) for ti, ei in residual for tj, ej in residual
-        )
-    raise RuntimeError("inversion failed to terminate")
+    psi = flatten(params, terms)
+    if any(apply_gen_inner(psi, img) != a for a, img in zip(gens, images)):
+        raise EngineFault("inversion audit failed: psi o phi is not the identity")
+    return psi
 
 
 def class2_conjugator(data: GenInnerData) -> Element:
@@ -415,13 +371,13 @@ def gen_inner_to_json(data: GenInnerData) -> dict:
 
 def gen_inner_from_json(obj: dict, params: GroupParams | None = None) -> GenInnerData:
     if "rank" in obj and "class" in obj:
-        params = GroupParams(int(obj["rank"]), int(obj["class"]))
+        params = GroupParams(json_int(obj["rank"]), json_int(obj["class"]))
     pairs = []
     for item in obj.get("pairs", ()):
         u = element_from_json(item["u"], params)
         if params is None:
             params = u.params
-        pairs.append((u, int(item["lambda"])))
+        pairs.append((u, json_int(item["lambda"])))
     if params is None:
         raise DomainError("cannot infer group parameters from empty data")
     return GenInnerData(params, tuple(pairs))
@@ -461,7 +417,7 @@ def _inner_conjugator_explain(
         layer = w + 1
         if any(x.min_weight() < layer for x in defects):
             # the solves so far should have cleared every layer below this one
-            raise RuntimeError(f"conjugator search left a defect below layer {layer}")
+            raise EngineFault(f"conjugator search left a defect below layer {layer}")
         # generators at layer 1, the weight-w basics above it
         unknowns = gens if w == 1 else [
             derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)
@@ -483,7 +439,7 @@ def _inner_conjugator_explain(
                 u = mul(u, power(v, c))
     final = _conjugation_images(params, u)
     if any(final[i] != f.images[i] for i in range(d)):
-        raise RuntimeError("conjugator search fails to reproduce the automorphism")
+        raise EngineFault("conjugator search fails to reproduce the automorphism")
     return u, None
 
 

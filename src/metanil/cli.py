@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 parse error (word text or JSON),
-3 domain error, 4 verification failure.  Specs and data are passed as JSON:
+3 domain error, 4 verification failure, 5 internal error (an engine
+self-check failed).  Specs and data are passed as JSON:
 inline, as @path, or as '-' for stdin.
 """
 
@@ -29,13 +30,14 @@ from .autos import (
 from .core import collect_text, element_from_text, element_to_json
 from .normality import NotGeneralizedInner, synthesize_gen_inner
 from .verify import SUITES, CliConfig, oracle_selftest, verify_paper
-from .words import DomainError, GroupParams, ParseError
+from .words import DomainError, EngineFault, GroupParams, ParseError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+EXIT_INTERNAL = 5
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -238,6 +240,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except EngineFault as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry_point() -> None:

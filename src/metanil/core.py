@@ -515,6 +515,13 @@ def element_to_json(x: Element) -> dict:
     }
 
 
+def json_int(value) -> int:
+    """An integer field of a JSON payload: a float or a bool is refused, not rounded."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def element_from_json(obj, params: GroupParams | None = None) -> Element:
     """Accepts the Element schema, or a plain word string when params are given."""
     if isinstance(obj, str):
@@ -524,12 +531,12 @@ def element_from_json(obj, params: GroupParams | None = None) -> Element:
     if not isinstance(obj, dict):
         raise DomainError("element JSON must be an object or a word string")
     if "rank" in obj or "class" in obj or params is None:
-        params = GroupParams(int(obj["rank"]), int(obj["class"]))
+        params = GroupParams(json_int(obj["rank"]), json_int(obj["class"]))
     vec: DVec = {}
     for t in obj.get("derived", []):
-        seq = tuple(int(b) for b in t["seq"])
-        vec[seq] = vec.get(seq, 0) + int(t["coef"])
-    exp = [int(e) for e in obj.get("exp", [0] * params.rank)]
+        seq = tuple(json_int(b) for b in t["seq"])
+        vec[seq] = vec.get(seq, 0) + json_int(t["coef"])
+    exp = [json_int(e) for e in obj.get("exp", [0] * params.rank)]
     derived = tuple(
         sorted(((s, c) for s, c in vec.items() if c), key=lambda p: (len(p[0]), p[0]))
     )

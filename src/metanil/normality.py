@@ -23,12 +23,11 @@ from itertools import product
 from .autos import (
     AutoSpec,
     GenInnerData,
-    NestedGenInnerData,
     PolyAutoData,
     _inner_conjugator_explain,
     apply_poly_auto,
-    compose_gen_inner,
     epsilon_sum,
+    flatten,
     gen_inner_to_spec,
     is_ia,
 )
@@ -48,7 +47,7 @@ from .core import (
     reduce_class,
 )
 from .intsolve import integer_solve, integer_solve_explain, smith_normal_form
-from .words import DomainError, GroupParams
+from .words import DomainError, EngineFault, GroupParams
 
 Delta = tuple[int, ...]
 
@@ -347,9 +346,9 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
     if x is None:
         witness = next((j for j in range(d) if any(b[j * nb : (j + 1) * nb])), 0)
         return NotGeneralizedInner(witness, k, cert.to_json())
-    correction = NestedGenInnerData(
+    correction = flatten(
         params,
-        tuple(
+        [
             (
                 (gen_element(params, i),)
                 + tuple(gen_element(params, g) for g in _delta_tail(delta)),
@@ -357,12 +356,14 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
             )
             for (i, delta), coef in zip(cols, x)
             if coef
-        ),
+        ],
     )
-    result = compose_gen_inner(lifted, correction)
+    # the correction lies in the central top layer, so composing it with the
+    # lift adds no cross terms: the product is the concatenation
+    result = GenInnerData(params, correction.pairs + lifted.pairs)
     check = gen_inner_to_spec(result)
     if check.images != f.images:
-        raise RuntimeError("synthesized data fails to reproduce the automorphism")
+        raise EngineFault("synthesized data fails to reproduce the automorphism")
     return result
 
 

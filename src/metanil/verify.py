@@ -14,7 +14,6 @@ from itertools import product
 from .autos import (
     AutoSpec,
     GenInnerData,
-    NestedGenInnerData,
     PolyAutoData,
     apply_gen_inner,
     aut_commutator,
@@ -91,17 +90,6 @@ def random_gen_inner(
         for _ in range(rng.randrange(0, max_pairs + 1))
     )
     return GenInnerData(params, pairs)
-
-
-def random_nested(rng: random.Random, params: GroupParams) -> NestedGenInnerData:
-    terms = []
-    for _ in range(rng.randrange(1, 3)):
-        tail = tuple(
-            random_element(rng, params, max_len=4)
-            for _ in range(rng.randrange(1, 4))
-        )
-        terms.append((tail, rng.choice([-2, -1, 1, 2])))
-    return NestedGenInnerData(params, tuple(terms))
 
 
 def poly_pairs_of_gen_inner(data: GenInnerData) -> PolyAutoData:

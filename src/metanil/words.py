@@ -23,6 +23,10 @@ class DomainError(ValueError):
     """An operation was applied outside its mathematical domain."""
 
 
+class EngineFault(RuntimeError):
+    """An internal consistency check failed: a bug, never a verdict or bad input."""
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Rank d and nilpotency class k of the ambient group.

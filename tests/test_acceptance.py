@@ -11,9 +11,7 @@ from itertools import product
 
 from metanil.autos import (
     GenInnerData,
-    NestedGenInnerData,
     apply_gen_inner,
-    apply_nested,
     aut_commutator,
     class2_conjugator,
     compose_endo,
@@ -30,6 +28,7 @@ from metanil.core import (
     gamma_layer,
     gen_element,
     identity,
+    left_normed,
     mul,
     power,
 )
@@ -47,10 +46,29 @@ from metanil.verify import (
     random_element,
     random_gen_inner,
     random_ia_spec,
-    random_nested,
     random_word,
 )
 from metanil.words import GroupParams
+
+
+def random_terms(rng, params):
+    """One to two (tail, eta) terms, each tail of one to three random elements."""
+    terms = []
+    for _ in range(rng.randrange(1, 3)):
+        tail = tuple(
+            random_element(rng, params, max_len=4)
+            for _ in range(rng.randrange(1, 4))
+        )
+        terms.append((tail, rng.choice([-2, -1, 1, 2])))
+    return terms
+
+
+def apply_terms(terms, x):
+    """x * prod [x, v_1, ..., v_s]^eta, the nested map evaluated bracket by bracket."""
+    out = x
+    for tail, eta in terms:
+        out = mul(out, power(left_normed([x, *tail]), eta))
+    return out
 
 
 def report(criterion, ok, elapsed, detail=""):
@@ -147,11 +165,11 @@ def test_criterion_5_flattening():
     bad = 0
     for t in range(200):
         params = GroupParams(*grid[t % len(grid)])
-        nested = random_nested(rng, params)
-        flat = flatten(nested)
+        terms = random_terms(rng, params)
+        flat = flatten(params, terms)
         xs = [gen_element(params, i) for i in range(params.rank)]
         xs.append(random_element(rng, params))
-        if any(apply_nested(nested, x) != apply_gen_inner(flat, x) for x in xs):
+        if any(apply_terms(terms, x) != apply_gen_inner(flat, x) for x in xs):
             bad += 1
     report(5, bad == 0, time.monotonic() - t0, f"200 nested maps, {bad} failures")
 
@@ -286,7 +304,7 @@ def test_criterion_10_class_separation():
                 break
     p23 = GroupParams(2, 3)
     a = gen_element(p23, 0)
-    flat = flatten(NestedGenInnerData(p23, (((a, a), 1),)))
+    flat = flatten(p23, [((a, a), 1)])
     spec = gen_inner_to_spec(flat)
     separation = (not flat.is_empty) and is_inner(spec) is None
     report(

@@ -5,11 +5,9 @@ import pytest
 from metanil.autos import (
     AutoSpec,
     GenInnerData,
-    NestedGenInnerData,
     PolyAutoData,
     apply_endo,
     apply_gen_inner,
-    apply_nested,
     apply_poly_auto,
     aut_commutator,
     class2_conjugator,
@@ -34,15 +32,17 @@ from metanil.core import (
     gen_element,
     identity,
     inverse,
+    left_normed,
     mul,
+    power,
     reduce_class,
 )
 from metanil.verify import (
     golden_ia_triple,
+    random_derived_element,
     random_element,
     random_gen_inner,
     random_ia_spec,
-    random_nested,
 )
 from metanil.words import DomainError, GroupParams
 
@@ -192,27 +192,50 @@ def test_gen_inner_to_spec_round_trip():
         assert apply_endo(spec, x) == apply_gen_inner(data, x)
 
 
+def random_terms(rng, params):
+    """One to two (tail, eta) terms, each tail of one to three random elements."""
+    terms = []
+    for _ in range(rng.randrange(1, 3)):
+        tail = tuple(
+            random_element(rng, params, max_len=4)
+            for _ in range(rng.randrange(1, 4))
+        )
+        terms.append((tail, rng.choice([-2, -1, 1, 2])))
+    return terms
+
+
+def apply_terms(terms, x):
+    """x * prod [x, v_1, ..., v_s]^eta, the nested map evaluated bracket by bracket."""
+    out = x
+    for tail, eta in terms:
+        out = mul(out, power(left_normed([x, *tail]), eta))
+    return out
+
+
 def test_flatten_examples():
     a = gen_element(P23, 0)
-    single = flatten(NestedGenInnerData(P23, (((a,), 5),)))
+    single = flatten(P23, [((a,), 5)])
     assert single == GenInnerData(P23, ((a, 5),))
-    nested = NestedGenInnerData(P23, (((a, a), 1),))
-    flat = flatten(nested)
+    flat = flatten(P23, [((a, a), 1)])
     assert dict(flat.pairs) == {a: -2, collect_text("a^2", P23): 1}
     u, v = collect_text("a b", P23), collect_text("b^2", P23)
-    two = flatten(NestedGenInnerData(P23, (((u, v), 1),)))
+    two = flatten(P23, [((u, v), 1)])
     assert dict(two.pairs) == {u: -1, v: -1, mul(u, v): 1}
+    with pytest.raises(DomainError):
+        flatten(P23, [((), 1)])
+    with pytest.raises(DomainError):
+        flatten(P23, [((gen_element(P35, 0),), 1)])
 
 
 def test_flatten_is_extensional():
     rng = random.Random(7)
     for _ in range(40):
         params = GroupParams(rng.choice([2, 3]), rng.choice([2, 3, 4, 5]))
-        nested = random_nested(rng, params)
-        flat = flatten(nested)
+        terms = random_terms(rng, params)
+        flat = flatten(params, terms)
         for _ in range(3):
             x = random_element(rng, params)
-            assert apply_nested(nested, x) == apply_gen_inner(flat, x)
+            assert apply_terms(terms, x) == apply_gen_inner(flat, x)
 
 
 def test_compose_gen_inner_examples():
@@ -244,6 +267,11 @@ def test_compose_gen_inner_matches_functional_composition():
 
 def test_invert_gen_inner_examples():
     assert invert_gen_inner(GenInnerData(P23)).is_empty
+    # at class 2, [x, a^2] = [x, a]^2: this data is the identity map, and its
+    # series stops before the first term
+    p22 = GroupParams(2, 2)
+    trivial = GenInnerData(p22, ((gen_element(p22, 0), 2), (collect_text("a^2", p22), -1)))
+    assert invert_gen_inner(trivial).is_empty
     rng = random.Random(10)
     u = random_element(rng, P35)
     inv = invert_gen_inner(GenInnerData(P35, ((u, 1),)))
@@ -258,6 +286,44 @@ def test_invert_gen_inner_exact_low_class_value():
     a2 = collect_text("a^2", P23)
     phi = GenInnerData(P23, ((a, -2), (a2, 1)))
     assert invert_gen_inner(phi) == GenInnerData(P23, ((a, 2), (a2, -1)))
+
+
+def heavy_pair_data(rng, params):
+    """Two single-generator exponent parts and a derived part: slow to invert."""
+    p, q = rng.sample(range(params.rank), 2)
+    return GenInnerData(
+        params,
+        (
+            (power(gen_element(params, p), rng.choice([-1, 1])), rng.choice([-1, 1])),
+            (power(gen_element(params, q), rng.choice([-1, 1])), rng.choice([-1, 1])),
+            (random_derived_element(rng, params), 1),
+        ),
+    )
+
+
+def test_invert_gen_inner_matches_spec_inversion():
+    rng = random.Random(31)
+    shapes = [(d, k) for d in (2, 3) for k in (3, 4, 5, 6)] + [(2, 8)]
+    for d, k in shapes:
+        params = GroupParams(d, k)
+        maps = [random_gen_inner(rng, params, max_pairs=4) for _ in range(2)]
+        for phi in maps + [heavy_pair_data(rng, params)]:
+            expected = invert_ia(gen_inner_to_spec(phi)).images
+            assert gen_inner_to_spec(invert_gen_inner(phi)).images == expected
+
+
+@pytest.mark.parametrize("shape, count", [((4, 6), 5), ((2, 10), 4)], ids=["4-6", "2-10"])
+def test_invert_gen_inner_seed_maps_at_scale(shape, count):
+    # the seed-1 maps whose inversion times README and ROADMAP report
+    params = GroupParams(*shape)
+    rng = random.Random(1)
+    for _ in range(count):
+        phi = random_gen_inner(rng, params)
+        inv = invert_gen_inner(phi)
+        for i in range(params.rank):
+            a = gen_element(params, i)
+            assert apply_gen_inner(inv, apply_gen_inner(phi, a)) == a
+            assert apply_gen_inner(phi, apply_gen_inner(inv, a)) == a
 
 
 def test_invert_gen_inner_round_trips():
@@ -287,6 +353,32 @@ def test_class2_conjugator():
             assert apply_gen_inner(data, x) == apply_gen_inner(conj, x)
     with pytest.raises(DomainError):
         class2_conjugator(GenInnerData(P23))
+
+
+def test_json_integer_fields_refuse_floats_and_bools():
+    # a float or a bool is not silently truncated to an int; ValueError is a
+    # parse error (exit 2) on the CLI, unlike DomainError
+    a = {"rank": 2, "class": 3, "exp": [1, 0], "derived": []}
+    bad = [
+        lambda: gen_inner_from_json({"pairs": [{"u": "a", "lambda": 1.5}]}, P23),
+        lambda: gen_inner_from_json({"pairs": [{"u": "a", "lambda": True}]}, P23),
+        lambda: gen_inner_from_json({"rank": 2.0, "class": 3, "pairs": []}),
+        lambda: spec_from_json({"rank": 2, "class": True, "images": [a, a]}),
+        lambda: spec_from_json({"images": [dict(a, rank=2.0), a]}),
+        lambda: spec_from_json({"images": [dict(a, exp=[1.0, 0]), "b"]}, P23),
+        lambda: spec_from_json(
+            {"images": [dict(a, derived=[{"seq": [1, 0], "coef": False}]), "b"]}, P23
+        ),
+        lambda: spec_from_json(
+            {"images": [dict(a, derived=[{"seq": [1.0, 0], "coef": 1}]), "b"]}, P23
+        ),
+    ]
+    for load in bad:
+        with pytest.raises(ValueError, match="expected an integer") as info:
+            load()
+        assert not isinstance(info.value, DomainError)
+    big = gen_inner_from_json({"pairs": [{"u": "a", "lambda": 10**40}]}, P23)
+    assert big.pairs[0][1] == 10**40
 
 
 def test_gen_inner_json_round_trip():
@@ -337,7 +429,7 @@ def test_is_inner_round_trips_modulo_center():
 
 def test_is_inner_refuses_the_iterated_bracket_map():
     a = gen_element(P23, 0)
-    spec = gen_inner_to_spec(flatten(NestedGenInnerData(P23, (((a, a), 1),))))
+    spec = gen_inner_to_spec(flatten(P23, [((a, a), 1)]))
     assert is_inner(spec) is None
 
 

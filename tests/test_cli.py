@@ -183,6 +183,26 @@ def test_failing_report_exits_4(capsys):
     assert "FAIL" in out
 
 
+def test_engine_fault_exits_5(capsys, monkeypatch):
+    # an off-by-one layer solve trips the conjugator search's own check: an
+    # internal error with its own exit code, not a traceback or a verdict
+    import metanil.autos as autos
+
+    solve = autos.integer_solve_explain
+
+    def off_by_one(a, b):
+        x, kernel, cert = solve(a, b)
+        if x is not None:
+            x = [x[0] + 1] + list(x[1:])
+        return x, kernel, cert
+
+    monkeypatch.setattr(autos, "integer_solve_explain", off_by_one)
+    spec = '{"pairs": [{"u": "a b", "lambda": 1}]}'
+    code, out, err = run(capsys, "is-inner", "--rank", "2", "--class", "3", spec)
+    assert code == 5 and out == ""
+    assert err.startswith("internal error: conjugator search")
+
+
 def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
     import metanil.cli as cli
 

@@ -91,6 +91,7 @@ CASES = [
     *_both("invert-spec", ["invert", *G23, IA]),
     *_both("invert-stdin", ["invert", *G23, "-"], stdin=CONJ),
     _case("invert-not-ia", ["invert", *G23, SWAP]),
+    _case("invert-float-lambda", ["invert", *G23, '{"pairs": [{"u": "a", "lambda": 1.5}]}']),
     *_both("is-inner-no", ["is-inner", *G23, NOT_INNER]),
     *_both("is-inner-yes", ["is-inner", *G23, CONJ]),
     *_both("is-inner-stdin", ["is-inner", *G23, "-"], stdin=IA),
@@ -106,6 +107,11 @@ CASES = [
     _case(
         "synthesize-bad-exp",
         ["synthesize", *G23, '{"images": [{"rank": 2, "class": 3, "exp": ["x", 0]}, "b"]}'],
+    ),
+    _case(
+        "synthesize-bool-coef",
+        ["synthesize", *G23, '{"images": [{"rank": 2, "class": 3, "exp": [1, 0], '
+         '"derived": [{"seq": [1, 0], "coef": true}]}, "b"]}'],
     ),
     _case(
         "synthesize-truncated-bracket",

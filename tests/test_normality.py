@@ -6,7 +6,6 @@ import pytest
 from metanil.autos import (
     AutoSpec,
     GenInnerData,
-    NestedGenInnerData,
     PolyAutoData,
     apply_endo,
     apply_gen_inner,
@@ -324,8 +323,7 @@ def test_synthesize_domain_errors():
 
 def test_class_separation_example():
     a = gen_element(P23, 0)
-    nested = NestedGenInnerData(P23, (((a, a), 1),))
-    spec = gen_inner_to_spec(flatten(nested))
+    spec = gen_inner_to_spec(flatten(P23, [((a, a), 1)]))
     res = synthesize_gen_inner(spec)
     assert isinstance(res, GenInnerData)
     assert is_inner(spec) is None

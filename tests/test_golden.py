@@ -52,8 +52,12 @@ def test_golden_corpus_covers_the_pinned_shapes():
     by_name = {c["name"]: c for c in CASES}
     accept = by_name["synthesize-accept-3-4"]["output"]
     assert accept["class"] >= 4 and len(accept["pairs"]) >= 10
+    # an accept whose class-2 conjugator is not trivial, at rank 4
+    accept = by_name["synthesize-accept-4-5"]["output"]
+    assert (accept["rank"], accept["class"]) == (4, 5)
+    assert any(any(p["u"]["exp"]) for p in accept["pairs"])
     refusals = [c["output"] for c in CASES if "certificate" in c["output"]]
-    assert {r["layer"] for r in refusals} == {2, 4}
+    assert {r["layer"] for r in refusals} == {2, 4, 6}
     assert all({"row", "modulus", "value"} <= set(r["certificate"]) for r in refusals)
 
 

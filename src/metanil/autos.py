@@ -45,7 +45,7 @@ from .core import (
     power,
     truncate_weight,
 )
-from .intsolve import InfeasibilityCertificate, integer_solve_explain
+from .intsolve import integer_solve_explain
 from .words import DomainError, EngineFault, GroupParams
 
 
@@ -393,15 +393,14 @@ def _conjugation_images(params: GroupParams, u: Element) -> list[Element]:
     ]
 
 
-def _inner_conjugator_explain(
-    f: AutoSpec,
-) -> tuple[Element | None, tuple[int, int, InfeasibilityCertificate] | None]:
-    """Layer-by-layer search for u with f = conjugation by u.
+def is_inner(f: AutoSpec) -> Element | None:
+    """A conjugating element realizing f, or None.
 
-    On failure returns (None, (generator, layer, certificate)); the layer is
-    the lower-central weight at which the integer system became infeasible.
-    Step w solves for the weight-w part v of u: [a_i, v] must cancel the
-    weight-(w+1) layer of the defect of a_i, for every generator a_i at once.
+    Layer-by-layer search for u with f = conjugation by u: step w solves for
+    the weight-w part v of u, so that [a_i, v] cancels the weight-(w+1) layer
+    of the defect of a_i, for every generator a_i at once.  The answer is
+    unique only up to the center, so the returned element is just the first
+    solution in canonical coordinate order.
     """
     if not is_ia(f):
         raise DomainError("only IA specs can be inner here")
@@ -428,28 +427,15 @@ def _inner_conjugator_explain(
             cols = [gamma_layer(commutator(gens[i], v), layer) for v in unknowns]
             a.extend(list(row) for row in zip(*cols))
             b.extend(gamma_layer(defects[i], layer))
-        x, _, cert = integer_solve_explain(a, b)
+        x, _, _ = integer_solve_explain(a, b)
         if x is None:
-            gen_idx = next(
-                (i for i in range(d) if not defects[i].is_identity), 0
-            )
-            return None, (gen_idx, layer, cert)
+            return None
         for v, c in zip(unknowns, x):
             if c:
                 u = mul(u, power(v, c))
     final = _conjugation_images(params, u)
     if any(final[i] != f.images[i] for i in range(d)):
         raise EngineFault("conjugator search fails to reproduce the automorphism")
-    return u, None
-
-
-def is_inner(f: AutoSpec) -> Element | None:
-    """A conjugating element realizing f, or None.
-
-    The answer is unique only up to the center, so the returned element is
-    just the first solution in canonical coordinate order.
-    """
-    u, _ = _inner_conjugator_explain(f)
     return u
 
 

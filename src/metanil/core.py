@@ -516,10 +516,10 @@ def element_to_json(x: Element) -> dict:
 
 
 def json_int(value) -> int:
-    """An integer field of a JSON payload: a float or a bool is refused, not rounded."""
-    if isinstance(value, (bool, float)):
+    """An integer field of a JSON payload: anything but an int is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
+    return value
 
 
 def element_from_json(obj, params: GroupParams | None = None) -> Element:

@@ -1,31 +1,32 @@
 """Deciding whether an automorphism is a generalized inner one.
 
-The decision runs by induction on the nilpotency class.  At class <= 2 the
-generalized inner maps are exactly the inner ones, so a layer-by-layer
-conjugator search settles it.  Above that, the automorphism is reduced one
-class, decided there, lifted back, and the residual (which acts trivially
-below the top layer) is matched against the span of the bracket symbols
+The decision peels off one lower-central layer at a time.  For w = 2..k
+the defect of the data found so far (which acts like f below layer w) is
+matched on the weight-w layer against the span of the bracket symbols
 
     [x, a_i, D] = [x, a_i, D(0)*a_0, D(1)*a_1, ..., D(d-1)*a_(d-1)],
 
-where D runs over the degree-(k-2) multiplicity functions on the generators.
-Matching is one coupled integer linear system over all generators at once;
-infeasibility comes back as a Smith-form certificate, and by the top-layer
-independence of the rewritten symbols (checked by delta_rewrite_injective)
-feasibility is equivalent to the residual being generalized inner.
+where D runs over the degree-(w-2) multiplicity functions on the generators;
+at w = 2 these are the brackets [x, a_i] of an inner map.  Matching is one
+coupled integer linear system over all generators at once, built once per
+(rank, layer); infeasibility comes back as a Smith-form certificate, and by
+the independence of the rewritten symbols (checked by
+delta_rewrite_injective) feasibility is equivalent to the defect being
+generalized inner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .autos import (
     AutoSpec,
     GenInnerData,
     PolyAutoData,
-    _inner_conjugator_explain,
     apply_poly_auto,
+    class2_conjugator,
     epsilon_sum,
     flatten,
     gen_inner_to_spec,
@@ -42,9 +43,7 @@ from .core import (
     left_normed,
     left_normed_rep,
     mul,
-    normalize_left_normed,
     power,
-    reduce_class,
 )
 from .intsolve import integer_solve, integer_solve_explain, smith_normal_form
 from .words import DomainError, EngineFault, GroupParams
@@ -277,14 +276,37 @@ def _abelianization_unimodular(f: AutoSpec) -> bool:
     return det(mat) in (1, -1)
 
 
+@lru_cache(maxsize=64)
+def _layer_system(
+    d: int, w: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, Delta], ...]]:
+    """The weight-w matching matrix at rank d, with its (i, D) columns.
+
+    Block j (one row per weight-w basic) of column (i, D) holds the
+    coordinates of [a_j, a_i, D], rewritten by delta_basis_rewrite.  It
+    depends only on (d, w), so each layer's matrix is built once.
+    """
+    params = GroupParams(d, w)
+    cols = tuple((i, delta) for i in range(d) for delta in enumerate_deltas(d, w - 2))
+    a = tuple(
+        row
+        for j in range(d)
+        for row in zip(*(delta_basis_rewrite({col: 1}, j, params) for col in cols))
+    )
+    return a, cols
+
+
 def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
     """Decide whether f is x -> x * prod [x, u_i]^lambda(i), with witness data.
 
-    Induction on the class: decide the class-(k-1) reduction, lift the data,
-    peel it off, and match the top-layer residual against the bracket-symbol
-    span by one coupled integer system over all generators.  Success returns
-    data extensionally equal to f; failure returns the infeasibility witness,
-    which certifies that f is not a normal automorphism.
+    One pass up the layers w = 2..k, with the data kept at the full class:
+    the defects L(a_j)^-1 f(a_j) of the data L found so far lie in gamma_w,
+    and their weight-w coordinates are matched against the bracket-symbol
+    span by one coupled integer system over all generators.  Its solution,
+    flattened at class w, is prepended to the data; at w = 2 it is the
+    single conjugator of the inner part.  Success returns data that one
+    final audit shows reproduces f; failure returns the infeasibility
+    witness, which certifies that f is not a normal automorphism.
     """
     params = f.params
     d, k = params.rank, params.nilclass
@@ -301,70 +323,41 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
         return NotGeneralizedInner(
             witness, 1, {"kind": "not-ia", "exp": list(f.images[witness].exp)}
         )
-    if k == 1:
-        return GenInnerData(params)
-    if k == 2:
-        u, info = _inner_conjugator_explain(f)
-        if u is not None:
-            return GenInnerData(params, ((u, 1),))
-        gen_idx, layer, cert = info
-        return NotGeneralizedInner(gen_idx, layer, cert.to_json())
-
-    reduced = AutoSpec(
-        GroupParams(d, k - 1), tuple(reduce_class(img, k - 1) for img in f.images)
-    )
-    below = synthesize_gen_inner(reduced)
-    if isinstance(below, NotGeneralizedInner):
-        return below
-    lifted = GenInnerData(
-        params, tuple((_mk(params, u.exp, dict(u.derived)), lam) for u, lam in below.pairs)
-    )
-    # f and the lift agree below the central top layer, which IA maps fix, so
-    # the residual defect of a_j is L(a_j)^-1 f(a_j), read off directly.
-    lifted_images = gen_inner_to_spec(lifted).images
-    b = [
-        c
-        for j in range(d)
-        for c in gamma_layer(mul(inverse(lifted_images[j]), f.images[j]), k)
-    ]
-    basics = enumerate_basics(params, k)
-    index = {seq: r for r, seq in enumerate(basics)}
-    nb = len(basics)
-    deltas = enumerate_deltas(d, k - 2)
-    cols: list[tuple[int, Delta]] = [
-        (i, delta) for i in range(d) for delta in deltas
-    ]
-    a = [[0] * len(cols) for _ in range(d * nb)]
-    for cidx, (i, delta) in enumerate(cols):
-        for j in range(d):
-            if j == i:
-                continue
-            seq = (j, i) + _delta_tail(delta)
-            for s2, c2 in normalize_left_normed(seq, params).items():
-                a[j * nb + index[s2]][cidx] = c2
-    x, _, cert = integer_solve_explain(a, b)
-    if x is None:
-        witness = next((j for j in range(d) if any(b[j * nb : (j + 1) * nb])), 0)
-        return NotGeneralizedInner(witness, k, cert.to_json())
-    correction = flatten(
-        params,
-        [
-            (
-                (gen_element(params, i),)
-                + tuple(gen_element(params, g) for g in _delta_tail(delta)),
-                coef,
-            )
-            for (i, delta), coef in zip(cols, x)
-            if coef
-        ],
-    )
-    # the correction lies in the central top layer, so composing it with the
-    # lift adds no cross terms: the product is the concatenation
-    result = GenInnerData(params, correction.pairs + lifted.pairs)
-    check = gen_inner_to_spec(result)
-    if check.images != f.images:
+    data = GenInnerData(params)
+    for w in range(2, k + 1):
+        images = gen_inner_to_spec(data).images
+        defects = [mul(inverse(img), fj) for img, fj in zip(images, f.images)]
+        if any(x.min_weight() < w for x in defects):
+            # the solves so far should have cleared every layer below this one
+            raise EngineFault(f"synthesis left a defect below layer {w}")
+        b = [c for x in defects for c in gamma_layer(x, w)]
+        a, cols = _layer_system(d, w)
+        x, _, cert = integer_solve_explain(a, b)
+        if x is None:
+            nb = len(b) // d
+            witness = next((j for j in range(d) if any(b[j * nb : (j + 1) * nb])), 0)
+            return NotGeneralizedInner(witness, w, cert.to_json())
+        pw = GroupParams(d, w)
+        correction = flatten(
+            pw,
+            [
+                (tuple(gen_element(pw, g) for g in (i,) + _delta_tail(delta)), coef)
+                for (i, delta), coef in zip(cols, x)
+                if coef
+            ],
+        ).pairs
+        if w == 2:
+            correction = ((class2_conjugator(GenInnerData(pw, correction)), 1),)
+        # the defects of a concatenation are the products of the defects, so
+        # prepending the correction cancels the weight-w layer
+        data = GenInnerData(
+            params,
+            tuple((_mk(params, u.exp, dict(u.derived)), lam) for u, lam in correction)
+            + data.pairs,
+        )
+    if gen_inner_to_spec(data).images != f.images:
         raise EngineFault("synthesized data fails to reproduce the automorphism")
-    return result
+    return data
 
 
 def poly_to_gen_inner(data: PolyAutoData) -> GenInnerData | NotGeneralizedInner:

@@ -356,12 +356,14 @@ def test_class2_conjugator():
 
 
 def test_json_integer_fields_refuse_floats_and_bools():
-    # a float or a bool is not silently truncated to an int; ValueError is a
-    # parse error (exit 2) on the CLI, unlike DomainError
+    # a float, a bool or a string is not silently converted to an int;
+    # ValueError is a parse error (exit 2) on the CLI, unlike DomainError
     a = {"rank": 2, "class": 3, "exp": [1, 0], "derived": []}
     bad = [
         lambda: gen_inner_from_json({"pairs": [{"u": "a", "lambda": 1.5}]}, P23),
         lambda: gen_inner_from_json({"pairs": [{"u": "a", "lambda": True}]}, P23),
+        lambda: gen_inner_from_json({"pairs": [{"u": "a", "lambda": " 3 "}]}, P23),
+        lambda: spec_from_json({"images": [dict(a, exp=["1", 0]), "b"]}, P23),
         lambda: gen_inner_from_json({"rank": 2.0, "class": 3, "pairs": []}),
         lambda: spec_from_json({"rank": 2, "class": True, "images": [a, a]}),
         lambda: spec_from_json({"images": [dict(a, rank=2.0), a]}),

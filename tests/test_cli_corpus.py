@@ -92,6 +92,7 @@ CASES = [
     *_both("invert-stdin", ["invert", *G23, "-"], stdin=CONJ),
     _case("invert-not-ia", ["invert", *G23, SWAP]),
     _case("invert-float-lambda", ["invert", *G23, '{"pairs": [{"u": "a", "lambda": 1.5}]}']),
+    _case("invert-string-lambda", ["invert", *G23, '{"pairs": [{"u": "a", "lambda": " 3 "}]}']),
     *_both("is-inner-no", ["is-inner", *G23, NOT_INNER]),
     *_both("is-inner-yes", ["is-inner", *G23, CONJ]),
     *_both("is-inner-stdin", ["is-inner", *G23, "-"], stdin=IA),

@@ -29,6 +29,7 @@ from metanil.core import (
 from metanil.intsolve import integer_solve
 from metanil.normality import (
     NotGeneralizedInner,
+    _layer_system,
     closure_membership,
     delta_basis_rewrite,
     delta_degree,
@@ -48,7 +49,7 @@ from metanil.verify import (
     random_gen_inner,
     random_ia_spec,
 )
-from metanil.words import DomainError, GroupParams
+from metanil.words import DomainError, EngineFault, GroupParams
 
 P23 = GroupParams(2, 3)
 P33 = GroupParams(3, 3)
@@ -422,7 +423,7 @@ def test_top_layer_refusal_with_independently_verified_certificate():
 
 def test_refusal_propagates_from_a_middle_layer():
     # the same map inside a class-5 group is no longer a top-layer problem;
-    # the recursion must refuse at the class-3 stage and report that layer
+    # the pass up the layers must refuse at layer 3 and report that layer
     p = GroupParams(3, 5)
     a, b, c = (gen_element(p, i) for i in range(3))
     f = AutoSpec(p, (mul(a, collect_text("[a,b,c]", p)), b, c))
@@ -511,11 +512,14 @@ def test_rank_two_defects_decouple():
             assert isinstance(res, GenInnerData)
 
 
-def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch):
-    # a layer solve that is off by one leaves a defect the final check sees;
-    # that is an engine fault, so it must raise rather than come back as a
-    # certificate-less refusal or a plain "not inner"
+def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
+    # a layer solve that is off by one leaves a defect the engine's own checks
+    # see; that is an engine fault, so it must raise rather than come back as
+    # a certificate-less refusal or a plain "not inner".  The conjugator
+    # search solves through autos, the decision through normality.
     import metanil.autos as autos
+    import metanil.normality as normality
+    from metanil.cli import main
 
     solve = autos.integer_solve_explain
 
@@ -526,15 +530,66 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch):
         return x, kernel, cert
 
     monkeypatch.setattr(autos, "integer_solve_explain", off_by_one)
+    monkeypatch.setattr(normality, "integer_solve_explain", off_by_one)
     p = GroupParams(2, 2)
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(EngineFault):
         synthesize_gen_inner(f)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(EngineFault):
         is_inner(f)
     # at class 3 the wrong layer-1 solve leaves a weight-2 defect, which the
     # layer-3 system cannot read; that is the same fault, not bad input
     p = GroupParams(2, 3)
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(EngineFault):
         is_inner(f)
+    # only the layer-2 solve of the decision is off: the next layer finds a
+    # weight-2 defect, and the CLI reports exit 5, not bad input (exit 3)
+    layer2 = normality._layer_system(2, 2)[0]
+
+    def off_by_one_at_layer2(a, b):
+        return (off_by_one if a == layer2 else solve)(a, b)
+
+    monkeypatch.setattr(normality, "integer_solve_explain", off_by_one_at_layer2)
+    p = GroupParams(2, 4)
+    f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
+    with pytest.raises(EngineFault, match="below layer 3"):
+        synthesize_gen_inner(f)
+    spec = '{"pairs": [{"u": "a b", "lambda": 1}]}'
+    assert main(["synthesize", "--rank", "2", "--class", "4", spec]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: synthesis left a defect below layer 3")
+
+
+# --- the per-layer systems -----------------------------------------------------
+
+
+@pytest.mark.parametrize("d,w", [(d, w) for d in (2, 3, 4) for w in range(2, 7)])
+def test_layer_system_matches_collection(d, w):
+    # column (i, D), block j is [a_j, a_i, D] on the weight-w layer, collected
+    # directly rather than rewritten by Lemma 3.2
+    a, cols = _layer_system(d, w)
+    p = GroupParams(d, w)
+    gens = [gen_element(p, g) for g in range(d)]
+    nb = len(enumerate_basics(p, w))
+    assert cols == tuple((i, D) for i in range(d) for D in enumerate_deltas(d, w - 2))
+    assert len(a) == d * nb and all(len(row) == len(cols) for row in a)
+    for c, (i, delta) in enumerate(cols):
+        for j in range(d):
+            block = [a[j * nb + r][c] for r in range(nb)]
+            assert block == gamma_layer(eval_delta_comm(gens[j], gens[i], delta), w)
+
+
+def test_each_layer_system_is_built_once():
+    from metanil import clear_caches
+
+    p = GroupParams(4, 5)
+    specs = [
+        gen_inner_to_spec(GenInnerData(p, ((collect_text(u, p), lam),)))
+        for u, lam in (("b d^-1", 2), ("[a,c] b", -1))
+    ]
+    clear_caches()
+    for f in specs:
+        assert isinstance(synthesize_gen_inner(f), GenInnerData)
+    info = _layer_system.cache_info()
+    assert (info.misses, info.hits) == (4, 4)

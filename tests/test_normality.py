@@ -545,7 +545,7 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
         is_inner(f)
     # only the layer-2 solve of the decision is off: the next layer finds a
     # weight-2 defect, and the CLI reports exit 5, not bad input (exit 3)
-    layer2 = normality._layer_system(2, 2)[0]
+    layer2 = _layer_system(2, 2)[0]
 
     def off_by_one_at_layer2(a, b):
         return (off_by_one if a == layer2 else solve)(a, b)

@@ -9,9 +9,9 @@ group and an automorphism of any metabelian nilpotent one.  Write it as
 (1 + B)(1 + A) = 1 + A + B + AB, where AB holds the cross terms
 [x, u_i, v_j]; flatten folds such nested terms back to flat pairs via
 [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz].  compose_gen_inner is this
-product, invert_gen_inner the finite series sum_r (-A)^r, and the top-layer
-correction of the decision is flattened the same way.  Data equality is not
-canonical for these maps, so the official equivalence everywhere is
+product, invert_gen_inner the finite series sum_r (-A)^r, and the solved
+bracket symbols of the decision are flattened the same way.  Data equality
+is not canonical for these maps, so the official equivalence everywhere is
 extensional (equal gen_inner_to_spec images); the stored pair list is only
 brought to a normal form that the bracket cannot distinguish from the input.
 """
@@ -344,8 +344,11 @@ def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
             ((u, *tail), (-1) ** r * lam * c) for u, lam in phi.pairs for tail, c in rests
         )
     psi = flatten(params, terms)
-    if any(apply_gen_inner(psi, img) != a for a, img in zip(gens, images)):
-        raise EngineFault("inversion audit failed: psi o phi is not the identity")
+    # phi is an automorphism, so phi o psi = 1 iff psi o phi = 1; this side
+    # applies phi's few pairs rather than psi's many
+    psi_images = gen_inner_to_spec(psi).images
+    if any(apply_gen_inner(phi, img) != a for a, img in zip(gens, psi_images)):
+        raise EngineFault("inversion audit failed: phi o psi is not the identity")
     return psi
 
 

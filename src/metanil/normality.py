@@ -1,18 +1,23 @@
 """Deciding whether an automorphism is a generalized inner one.
 
-The decision peels off one lower-central layer at a time.  For w = 2..k
-the defect of the data found so far (which acts like f below layer w) is
-matched on the weight-w layer against the span of the bracket symbols
+The decision reads f one lower-central layer at a time.  For w = 2..k the
+weight-w coordinates of the defects a_j^-1 f(a_j) are matched against the
+span of the bracket symbols
 
     [x, a_i, D] = [x, a_i, D(0)*a_0, D(1)*a_1, ..., D(d-1)*a_(d-1)],
 
 where D runs over the degree-(w-2) multiplicity functions on the generators;
-at w = 2 these are the brackets [x, a_i] of an inner map.  Matching is one
-coupled integer linear system over all generators at once, built once per
-(rank, layer); infeasibility comes back as a Smith-form certificate, and by
-the independence of the rewritten symbols (checked by
-delta_rewrite_injective) feasibility is equivalent to the defect being
-generalized inner.
+at w = 2 these are the brackets [x, a_i] of an inner map.  The layers do
+not interact: the symbol map x -> x [x, a_i, D] moves each generator a_j by
+the one weight-w element [a_j, a_i, D], and every generalized-inner map is
+an integer sum of symbol maps ([x, A s] = [x, s][x, A] for s in M', the
+binomial expansion of [x, a^e], and the metabelian Jacobi identity, whose
+coefficients for [a_j, c] with c in M' do not depend on j).  So each layer
+is solved from f's own coordinates.  Matching is one coupled integer
+linear system over all generators at once, built once per (rank, layer);
+infeasibility comes back as a Smith-form certificate, and by the
+independence of the rewritten symbols (checked by delta_rewrite_injective)
+feasibility is equivalent to the defect being generalized inner.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .autos import (
     GenInnerData,
     PolyAutoData,
     apply_poly_auto,
-    class2_conjugator,
     epsilon_sum,
     flatten,
     gen_inner_to_spec,
@@ -39,7 +43,6 @@ from .core import (
     enumerate_basics,
     gamma_layer,
     gen_element,
-    inverse,
     left_normed,
     left_normed_rep,
     mul,
@@ -299,14 +302,17 @@ def _layer_system(
 def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
     """Decide whether f is x -> x * prod [x, u_i]^lambda(i), with witness data.
 
-    One pass up the layers w = 2..k, with the data kept at the full class:
-    the defects L(a_j)^-1 f(a_j) of the data L found so far lie in gamma_w,
-    and their weight-w coordinates are matched against the bracket-symbol
-    span by one coupled integer system over all generators.  Its solution,
-    flattened at class w, is prepended to the data; at w = 2 it is the
-    single conjugator of the inner part.  Success returns data that one
-    final audit shows reproduces f; failure returns the infeasibility
-    witness, which certifies that f is not a normal automorphism.
+    Two facts let each layer be solved on its own, from f alone: the symbol
+    map x -> x [x, a_i, D] moves every generator a_j by the single weight-w
+    element [a_j, a_i, D], and every generalized-inner map is an integer sum
+    of symbol maps.  So for w = 2..k the weight-w coordinates of the defects
+    a_j^-1 f(a_j) are matched against the bracket-symbol span by one coupled
+    integer system over all generators.  If every layer is solvable, all
+    solved symbols are flattened at once into data that one final audit
+    shows reproduces f.  Otherwise the first infeasible layer is returned
+    with its certificate and, as witness, the first generator whose defect
+    has a nonzero weight-w coordinate; this certifies that f is not a
+    normal automorphism.
     """
     params = f.params
     d, k = params.rank, params.nilclass
@@ -323,38 +329,25 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
         return NotGeneralizedInner(
             witness, 1, {"kind": "not-ia", "exp": list(f.images[witness].exp)}
         )
-    data = GenInnerData(params)
+    # the collected form of an IA image is a_j followed by its defect
+    defects = [img.dmap() for img in f.images]
+    gens = [gen_element(params, g) for g in range(d)]
+    terms = []
     for w in range(2, k + 1):
-        images = gen_inner_to_spec(data).images
-        defects = [mul(inverse(img), fj) for img, fj in zip(images, f.images)]
-        if any(x.min_weight() < w for x in defects):
-            # the solves so far should have cleared every layer below this one
-            raise EngineFault(f"synthesis left a defect below layer {w}")
-        b = [c for x in defects for c in gamma_layer(x, w)]
+        basics = enumerate_basics(params, w)
+        b = [dm.get(s, 0) for dm in defects for s in basics]
         a, cols = _layer_system(d, w)
         x, _, cert = integer_solve_explain(a, b)
         if x is None:
-            nb = len(b) // d
+            nb = len(basics)
             witness = next((j for j in range(d) if any(b[j * nb : (j + 1) * nb])), 0)
             return NotGeneralizedInner(witness, w, cert.to_json())
-        pw = GroupParams(d, w)
-        correction = flatten(
-            pw,
-            [
-                (tuple(gen_element(pw, g) for g in (i,) + _delta_tail(delta)), coef)
-                for (i, delta), coef in zip(cols, x)
-                if coef
-            ],
-        ).pairs
-        if w == 2:
-            correction = ((class2_conjugator(GenInnerData(pw, correction)), 1),)
-        # the defects of a concatenation are the products of the defects, so
-        # prepending the correction cancels the weight-w layer
-        data = GenInnerData(
-            params,
-            tuple((_mk(params, u.exp, dict(u.derived)), lam) for u, lam in correction)
-            + data.pairs,
-        )
+        terms += [
+            (tuple(gens[g] for g in (i, *_delta_tail(delta))), coef)
+            for (i, delta), coef in zip(cols, x)
+            if coef
+        ]
+    data = flatten(params, terms)
     if gen_inner_to_spec(data).images != f.images:
         raise EngineFault("synthesized data fails to reproduce the automorphism")
     return data

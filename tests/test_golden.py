@@ -1,9 +1,10 @@
 """Exact JSON outputs of the decision engine, pinned in golden_outputs.json.
 
 The pair order of a multi-pair result is part of the output, so these cases
-compare whole JSON values, lists in order, rather than pair sets.  The accept
-case has 13 pairs and is one whose order changes if the composition step
-flattens all terms jointly instead of each block separately.
+compare whole JSON values, lists in order, rather than pair sets.  The (3,4)
+accept has 12 pairs: synthesize flattens the solved symbols of every layer
+jointly, in layer order, so a change to the solve order or to the flatten
+shows up here.
 """
 
 import json
@@ -52,7 +53,7 @@ def test_golden_corpus_covers_the_pinned_shapes():
     by_name = {c["name"]: c for c in CASES}
     accept = by_name["synthesize-accept-3-4"]["output"]
     assert accept["class"] >= 4 and len(accept["pairs"]) >= 10
-    # an accept whose class-2 conjugator is not trivial, at rank 4
+    # an accept with a nonzero layer-2 (inner) part, at rank 4
     accept = by_name["synthesize-accept-4-5"]["output"]
     assert (accept["rank"], accept["class"]) == (4, 5)
     assert any(any(p["u"]["exp"]) for p in accept["pairs"])

@@ -17,6 +17,7 @@ from metanil.autos import (
 from metanil.core import (
     collect_text,
     commutator,
+    derived_element,
     enumerate_basics,
     gamma_layer,
     gen_element,
@@ -29,6 +30,7 @@ from metanil.core import (
 from metanil.intsolve import integer_solve
 from metanil.normality import (
     NotGeneralizedInner,
+    _delta_tail,
     _layer_system,
     closure_membership,
     delta_basis_rewrite,
@@ -388,37 +390,71 @@ def test_top_layer_refusal_with_independently_verified_certificate():
     closure_a = normal_closure_top_generators(1, 0, 0, p)
     assert closure_membership(defect, closure_a) is not None
 
-    # rebuild the system through element arithmetic (eval_delta_comm +
-    # gamma_layer), an independent route from the symbolic path inside
-    # synthesize, and verify the certificate against it
-    basics = enumerate_basics(p, 3)
-    deltas = enumerate_deltas(3, 1)
-    cols = [(i, delta) for i in range(3) for delta in deltas]
-    rows = []
-    rhs = []
-    gens = [a, b, c]
-    defects = [defect, identity(p), identity(p)]
-    for j in range(3):
-        layer = gamma_layer(defects[j], 3)
-        for r in range(len(basics)):
-            rhs.append(layer[r])
-            row = []
-            for (i, delta) in cols:
-                if i == j:
-                    row.append(0)
-                else:
-                    vec = gamma_layer(eval_delta_comm(gens[j], gens[i], delta), 3)
-                    row.append(vec[r])
-            rows.append(row)
+    # verify the certificate against the system rebuilt by element arithmetic
+    rows = _collected_top_system(p)
+    rhs = gamma_layer(defect, 3) + [0] * (2 * len(enumerate_basics(p, 3)))
     assert integer_solve(rows, rhs) is None
     u = res.certificate["row"]
     mod = res.certificate["modulus"]
-    ua = [sum(u[r] * rows[r][t] for r in range(len(rows))) for t in range(len(cols))]
+    ua = [sum(u[r] * rows[r][t] for r in range(len(rows))) for t in range(len(rows[0]))]
     ub = sum(u[r] * rhs[r] for r in range(len(rhs)))
     if mod == 0:
         assert all(v == 0 for v in ua) and ub != 0
     else:
         assert all(v % mod == 0 for v in ua) and ub % mod != 0
+
+
+def _collected_top_system(p):
+    """The top-layer matching matrix, rebuilt through eval_delta_comm and
+    gamma_layer: an independent route from the symbolic path inside
+    synthesize.  Block j, column (i, D) holds [a_j, a_i, D]."""
+    d, k = p.rank, p.nilclass
+    gens = [gen_element(p, g) for g in range(d)]
+    cols = [(i, delta) for i in range(d) for delta in enumerate_deltas(d, k - 2)]
+    blocks = [
+        [gamma_layer(eval_delta_comm(gens[j], gens[i], delta), k) for i, delta in cols]
+        for j in range(d)
+    ]
+    return [list(row) for block in blocks for row in zip(*block)]
+
+
+@pytest.mark.parametrize("d,k", [(3, 3), (3, 4), (3, 5), (4, 4)])
+def test_dense_map_moved_at_the_top_is_refused_with_a_checkable_certificate(d, k):
+    # an accepted map that moves every layer, with one image then moved by a
+    # top-layer basic that avoids the image's own index: every symbol in
+    # block j involves a_j, so the move leaves the span and the decision must
+    # refuse at layer k.  The certificate is checked the way a third party
+    # would, against the independently rebuilt system and the spec alone.
+    rng = random.Random(100 * d + k)
+    p = GroupParams(d, k)
+    rows = _collected_top_system(p)
+    basics = enumerate_basics(p, k)
+    for _ in range(6):
+        data = GenInnerData(
+            p,
+            tuple(
+                (random_element(rng, p, max_len=5), rng.choice((-2, -1, 1, 2)))
+                for _ in range(3)
+            ),
+        )
+        images = list(gen_inner_to_spec(data).images)
+        j = rng.randrange(d)
+        seq = rng.choice([s for s in basics if j not in s])
+        coef = rng.choice((-2, -1, 1, 2))
+        images[j] = mul(images[j], derived_element(p, {seq: coef}))
+        res = synthesize_gen_inner(AutoSpec(p, tuple(images)))
+        assert isinstance(res, NotGeneralizedInner) and res.layer == k
+        u, mod, value = (res.certificate[key] for key in ("row", "modulus", "value"))
+        assert mod == 0 and len(u) == len(rows)
+        ua = [sum(ur * row[c] for ur, row in zip(u, rows)) for c in range(len(rows[0]))]
+        assert not any(ua)
+        rhs = [
+            dict(mul(inverse(gen_element(p, g)), img).derived).get(s, 0)
+            for g, img in enumerate(images)
+            for s in basics
+        ]
+        t = j * len(basics) + basics.index(seq)
+        assert value == sum(ur * b for ur, b in zip(u, rhs)) == u[t] * coef != 0
 
 
 def test_refusal_propagates_from_a_middle_layer():
@@ -543,8 +579,9 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
     with pytest.raises(EngineFault):
         is_inner(f)
-    # only the layer-2 solve of the decision is off: the next layer finds a
-    # weight-2 defect, and the CLI reports exit 5, not bad input (exit 3)
+    # only the layer-2 solve of the decision is off: the layers are solved
+    # independently, so the final audit catches it, and the CLI reports
+    # exit 5, not a refusal or bad input (exit 3)
     layer2 = _layer_system(2, 2)[0]
 
     def off_by_one_at_layer2(a, b):
@@ -553,12 +590,14 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
     monkeypatch.setattr(normality, "integer_solve_explain", off_by_one_at_layer2)
     p = GroupParams(2, 4)
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
-    with pytest.raises(EngineFault, match="below layer 3"):
+    with pytest.raises(EngineFault, match="fails to reproduce the automorphism"):
         synthesize_gen_inner(f)
     spec = '{"pairs": [{"u": "a b", "lambda": 1}]}'
     assert main(["synthesize", "--rank", "2", "--class", "4", spec]) == 5
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("internal error: synthesis left a defect below layer 3")
+    assert out == "" and err.startswith(
+        "internal error: synthesized data fails to reproduce the automorphism"
+    )
 
 
 # --- the per-layer systems -----------------------------------------------------
@@ -593,3 +632,22 @@ def test_each_layer_system_is_built_once():
         assert isinstance(synthesize_gen_inner(f), GenInnerData)
     info = _layer_system.cache_info()
     assert (info.misses, info.hits) == (4, 4)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_symbol_maps_are_homogeneous(d):
+    # the layers of the decision are independent because each symbol map
+    # x -> x [x, a_i, D], flattened at the full class, moves every a_j by
+    # exactly [a_j, a_i, D], an element of the single weight w = |D| + 2
+    for k in range(2, 7):
+        p = GroupParams(d, k)
+        gens = [gen_element(p, g) for g in range(d)]
+        for w in range(2, k + 1):
+            for i, delta in _layer_system(d, w)[1]:
+                tail = tuple(gens[g] for g in (i, *_delta_tail(delta)))
+                data = flatten(p, [(tail, 1)])
+                for a in gens:
+                    move = eval_delta_comm(a, gens[i], delta)
+                    assert apply_gen_inner(data, a) == mul(a, move)
+                    assert not any(move.exp)
+                    assert all(len(seq) == w for seq, _ in move.derived)

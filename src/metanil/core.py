@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .words import DomainError, GroupParams, Word, generator_name, parse_word
+from .words import DomainError, GroupParams, Word, WordOps, evaluate, generator_name
 
 Basic = tuple[int, ...]
 DVec = dict[Basic, int]
@@ -368,43 +368,78 @@ def collect(w: Word, params: GroupParams) -> Element:
     return _mk(params, exp, vec)
 
 
+# A collector state (exp, vec) is an element before _mk.  _smul is the one
+# product formula; mul, inverse, power and collect_text all build on it.
+State = tuple[tuple[int, ...] | list[int], DVec]
+
+
+def _state(x: Element) -> State:
+    return x.exp, x.dmap()
+
+
+def _smul(params: GroupParams, x: State, y: State) -> State:
+    """x y, collected: y's generator blocks moved in, then its derived part."""
+    exp, vec = list(x[0]), x[1]
+    for j, c in enumerate(y[0]):
+        vec = _rmul_block(exp, vec, j, c, params)  # a new dict once a block moves
+    vec = dict(vec) if vec is x[1] else vec
+    _vadd(vec, y[1])
+    return exp, vec
+
+
+def _sinv(params: GroupParams, x: State) -> State:
+    """(A s)^-1 = s^-1 A^-1, with A^-1 collected block by block from the right."""
+    exp, vec = [0] * params.rank, {}
+    for m in reversed(range(params.rank)):
+        vec = _rmul_block(exp, vec, m, -x[0][m], params)
+    return _smul(params, ((0,) * params.rank, {s: -c for s, c in x[1].items()}), (exp, vec))
+
+
+def _spow(params: GroupParams, x: State, n: int) -> State:
+    """x^n by squaring: O(log |n|) products, whatever the size of n."""
+    if n < 0:
+        x, n = _sinv(params, x), -n
+    out: State = ([0] * params.rank, {})
+    while n:
+        if n & 1:
+            out = _smul(params, out, x)
+        n >>= 1
+        if n:
+            x = _smul(params, x, x)
+    return out
+
+
 def collect_text(text: str, params: GroupParams) -> Element:
-    return collect(parse_word(text, params), params)
+    """Evaluate word text in the group, building no free-group Word.
+
+    Products fold into a collector state and powers square on it, so cost
+    grows with log |n|, not n; brackets take the closed-form commutator of
+    their operands.
+    """
+    zero = (0,) * params.rank
+    ops = WordOps(
+        lambda: (zero, {}),
+        lambda i: (zero[:i] + (1,) + zero[i + 1 :], {}),
+        lambda x, y: _smul(params, x, y),
+        lambda x, n: _spow(params, x, n),
+        lambda parts: _state(left_normed([_mk(params, *x) for x in parts])),
+    )
+    return _mk(params, *evaluate(text, params, ops))
 
 
 @lru_cache(maxsize=1 << 15)
 def mul(x: Element, y: Element) -> Element:
     _check_params(x, y)
-    exp = list(x.exp)
-    vec = x.dmap()
-    for j in range(x.params.rank):
-        vec = _rmul_block(exp, vec, j, y.exp[j], x.params)
-    _vadd(vec, y.dmap())
-    return _mk(x.params, exp, vec)
+    return _mk(x.params, *_smul(x.params, (x.exp, x.dmap()), (y.exp, y.dmap())))
 
 
 @lru_cache(maxsize=1 << 14)
 def inverse(x: Element) -> Element:
-    d = x.params.rank
-    exp = [0] * d
-    vec: DVec = {}
-    for m in reversed(range(d)):
-        vec = _rmul_block(exp, vec, m, -x.exp[m], x.params)
-    head = _mk(x.params, (0,) * d, {s: -c for s, c in x.derived})
-    return mul(head, _mk(x.params, exp, vec))
+    return _mk(x.params, *_sinv(x.params, _state(x)))
 
 
 def power(x: Element, n: int) -> Element:
-    if n < 0:
-        return power(inverse(x), -n)
-    out = identity(x.params)
-    base = x
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        n >>= 1
-    return out
+    return _mk(x.params, *_spow(x.params, _state(x), n))
 
 
 @lru_cache(maxsize=1 << 14)

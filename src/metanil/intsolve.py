@@ -126,7 +126,7 @@ class InfeasibilityCertificate:
 
 
 @dataclass(frozen=True)
-class _Factorization:
+class Factorization:
     """U * A * V = D for one matrix, kept in the form the solver reads.
 
     ``u_rows`` holds the rows of U as sparse ``(column, value)`` pairs,
@@ -147,7 +147,7 @@ class _Factorization:
 
 
 @lru_cache(maxsize=64)
-def _factor(a: tuple[tuple[int, ...], ...]) -> _Factorization:
+def factor(a: tuple[tuple[int, ...], ...]) -> Factorization:
     """Smith-form factorization of the matrix whose rows are ``a``.
 
     The systems of the decision engine depend only on (rank, class, layer),
@@ -157,7 +157,7 @@ def _factor(a: tuple[tuple[int, ...], ...]) -> _Factorization:
     n = len(a[0]) if m else 0
     u, d, v = smith_normal_form(a)
     diag = tuple(d[i][i] if i < n else 0 for i in range(m))
-    return _Factorization(
+    return Factorization(
         u_rows=tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in u),
         diag=diag,
         v=tuple(map(tuple, v)),
@@ -169,22 +169,16 @@ def _factor(a: tuple[tuple[int, ...], ...]) -> _Factorization:
     )
 
 
-def integer_solve_explain(
-    a: Matrix, b: list[int]
-) -> tuple[list[int] | None, list[list[int]] | None, InfeasibilityCertificate | None]:
-    """Solve A x = b over the integers, or explain why there is no solution.
+Solution = tuple[list[int] | None, list[list[int]] | None, InfeasibilityCertificate | None]
 
-    The Smith form of ``a`` comes from a bounded cache keyed on the matrix
-    entries, so repeated systems are reduced once; the lists returned are
-    fresh on every call.
+
+def solve_factored(f: Factorization, b: list[int]) -> Solution:
+    """Solve A x = b given the factorization ``f`` of A, or explain why not.
+
+    Costs only ``U·b`` and ``V·y``; the lists returned are fresh on every call.
     """
-    m = len(a)
-    if len(b) != m:
-        raise DomainError(f"dimension mismatch: {m} rows vs {len(b)} entries")
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise DomainError("ragged matrix")
-    f = _factor(tuple(map(tuple, a)))
+    if len(b) != len(f.diag):
+        raise DomainError(f"dimension mismatch: {len(f.diag)} rows vs {len(b)} entries")
     y = []  # the nonzero entries of D^-1 U b, as (index, value)
     for i, (row, di) in enumerate(zip(f.u_rows, f.diag)):
         ci = sum(x * b[j] for j, x in row)
@@ -197,6 +191,18 @@ def integer_solve_explain(
             return None, None, f.certificate(i, 0, ci)
     x = [sum(vr[j] * yj for j, yj in y) for vr in f.v]
     return x, [list(col) for col in f.kernel], None
+
+
+def integer_solve_explain(a: Matrix, b: list[int]) -> Solution:
+    """Solve A x = b over the integers, or explain why there is no solution.
+
+    The Smith form of ``a`` comes from a bounded cache keyed on the matrix
+    entries, so repeated systems are reduced once.
+    """
+    n = len(a[0]) if a else 0
+    if any(len(row) != n for row in a):
+        raise DomainError("ragged matrix")
+    return solve_factored(factor(tuple(map(tuple, a))), b)
 
 
 def integer_solve(a: Matrix, b: list[int]) -> tuple[list[int], list[list[int]]] | None:

@@ -48,7 +48,7 @@ from .core import (
     mul,
     power,
 )
-from .intsolve import integer_solve, integer_solve_explain, smith_normal_form
+from .intsolve import Factorization, factor, integer_solve, smith_normal_form, solve_factored
 from .words import DomainError, EngineFault, GroupParams
 
 Delta = tuple[int, ...]
@@ -282,12 +282,12 @@ def _abelianization_unimodular(f: AutoSpec) -> bool:
 @lru_cache(maxsize=64)
 def _layer_system(
     d: int, w: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, Delta], ...]]:
-    """The weight-w matching matrix at rank d, with its (i, D) columns.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, Delta], ...], Factorization]:
+    """The weight-w matching matrix at rank d, its (i, D) columns and Smith form.
 
     Block j (one row per weight-w basic) of column (i, D) holds the
     coordinates of [a_j, a_i, D], rewritten by delta_basis_rewrite.  It
-    depends only on (d, w), so each layer's matrix is built once.
+    depends only on (d, w), so each layer is built and factored once.
     """
     params = GroupParams(d, w)
     cols = tuple((i, delta) for i in range(d) for delta in enumerate_deltas(d, w - 2))
@@ -296,7 +296,7 @@ def _layer_system(
         for j in range(d)
         for row in zip(*(delta_basis_rewrite({col: 1}, j, params) for col in cols))
     )
-    return a, cols
+    return a, cols, factor(a)
 
 
 def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
@@ -336,8 +336,8 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
     for w in range(2, k + 1):
         basics = enumerate_basics(params, w)
         b = [dm.get(s, 0) for dm in defects for s in basics]
-        a, cols = _layer_system(d, w)
-        x, _, cert = integer_solve_explain(a, b)
+        _, cols, factored = _layer_system(d, w)
+        x, _, cert = solve_factored(factored, b)
         if x is None:
             nb = len(basics)
             witness = next((j for j in range(d) if any(b[j * nb : (j + 1) * nb])), 0)

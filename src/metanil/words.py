@@ -1,14 +1,16 @@
-"""Free-group words over the ordered generators a0 < a1 < ... of finite rank.
+"""Word text, and free-group words over the ordered generators a0 < a1 < ....
 
-This is the raw input layer: words are freely reduced sequences of
-(generator, exponent) syllables, with no group relations applied beyond
-free cancellation.  Everything deeper (collection, truncation) lives in
-:mod:`metanil.core`.
+This is the raw input layer.  One parser evaluates word text with the
+operations it is handed: :func:`parse_word` passes those of :class:`Word`
+(freely reduced (generator, exponent) syllables, the Magnus oracle's
+input), :func:`metanil.core.collect_text` those of the group.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial, reduce
 
 
 class ParseError(ValueError):
@@ -65,6 +67,11 @@ def _reduce(letters) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+# A product of Words whose operands hold more syllables than this together
+# is refused before it is built, so powers and brackets fail fast too.
+MAX_WORD_SYLLABLES = 100_000
+
+
 @dataclass(frozen=True)
 class Word:
     """Freely reduced word, stored as (generator index, nonzero exponent) syllables."""
@@ -75,6 +82,9 @@ class Word:
         object.__setattr__(self, "letters", _reduce(self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
+        n = len(self.letters) + len(other.letters)
+        if n > MAX_WORD_SYLLABLES:
+            raise DomainError(f"a Word product of {n} syllables exceeds {MAX_WORD_SYLLABLES}")
         return Word(self.letters + other.letters)
 
     def inv(self) -> "Word":
@@ -88,8 +98,9 @@ class Word:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     @property
@@ -108,16 +119,6 @@ class Word:
 def commutator_word(x: Word, y: Word) -> Word:
     """[x, y] = x^-1 y^-1 x y as a freely reduced word."""
     return x.inv() * y.inv() * x * y
-
-
-def left_normed_word(ws: list[Word]) -> Word:
-    """Left-normed bracket [w1, ..., wn] = [[w1, ..., w_{n-1}], wn]."""
-    if not ws:
-        raise DomainError("left-normed bracket of an empty list")
-    acc = ws[0]
-    for w in ws[1:]:
-        acc = commutator_word(acc, w)
-    return acc
 
 
 def retract(w: Word, keep: set[int]) -> Word:
@@ -142,6 +143,13 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # The parser recurses once per '(' / '[' level; deeper input is refused
 # before it can exhaust the interpreter stack.
 _MAX_NESTING = 200
+
+# The five operations the parser evaluates a word text with.
+WordOps = namedtuple("WordOps", "identity generator product power bracket")
+
+_WORD_OPS = WordOps(
+    Word, lambda i: Word(((i, 1),)), Word.__mul__, Word.__pow__, partial(reduce, commutator_word)
+)
 
 
 def _tokenize(text: str):
@@ -184,11 +192,12 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, params: GroupParams):
+    def __init__(self, text: str, params: GroupParams, ops: WordOps):
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.params = params
+        self.ops = ops
 
     def peek(self):
         return self.toks[self.pos]
@@ -204,22 +213,19 @@ class _Parser:
             raise ParseError(f"expected {kind!r}", tok[2])
         return tok
 
-    def parse_expr(self, allow_empty=False) -> Word:
+    def parse_expr(self, allow_empty=False):
         terms = []
         while self.peek()[0] in ("gen", "(", "[", "int"):
             terms.append(self.parse_term())
         if not terms and not allow_empty:
             raise ParseError("expected a term", self.peek()[2])
-        out = Word()
-        for t in terms:
-            out = out * t
-        return out
+        return reduce(self.ops.product, terms) if terms else self.ops.identity()
 
-    def parse_term(self) -> Word:
+    def parse_term(self):
         atom = self.parse_atom()
         if self.peek()[0] == "^":
             self.next()
-            return atom ** self.parse_int()
+            return self.ops.power(atom, self.parse_int())
         return atom
 
     def parse_int(self) -> int:
@@ -229,7 +235,7 @@ class _Parser:
         tok = self.expect("int")
         return sign * tok[1]
 
-    def parse_atom(self) -> Word:
+    def parse_atom(self):
         kind, value, pos = self.next()
         if kind == "gen":
             if value >= self.params.rank:
@@ -237,10 +243,10 @@ class _Parser:
                     f"generator index {value} out of range for rank {self.params.rank}",
                     pos,
                 )
-            return Word(((value, 1),))
+            return self.ops.generator(value)
         if kind == "int":
             if value == 1:
-                return Word()
+                return self.ops.identity()
             raise ParseError("expected a generator, '(' or '['", pos)
         if kind in ("(", "["):
             self.depth += 1
@@ -262,15 +268,28 @@ class _Parser:
             self.depth -= 1
             if len(parts) < 2:
                 raise ParseError("bracket needs at least two arguments", pos)
-            return left_normed_word(parts)
+            return self.ops.bracket(parts)
         raise ParseError("expected a generator, '(' or '['", pos)
 
 
-def parse_word(text: str, params: GroupParams) -> Word:
-    """Parse `text` into a freely reduced Word, expanding powers and brackets."""
-    p = _Parser(text, params)
-    w = p.parse_expr(allow_empty=True)
+def evaluate(text: str, params: GroupParams, ops: WordOps):
+    """Parse `text` and evaluate it with `ops`.
+
+    Syntax, nesting depth and generator range are checked here, so those
+    errors are the same whatever `ops` is.
+    """
+    p = _Parser(text, params, ops)
+    value = p.parse_expr(allow_empty=True)
     end = p.peek()
     if end[0] != "end":
         raise ParseError(f"unexpected token {end[0]!r}", end[2])
-    return w
+    return value
+
+
+def parse_word(text: str, params: GroupParams) -> Word:
+    """Parse `text` into a freely reduced Word, expanding powers and brackets.
+
+    A product past MAX_WORD_SYLLABLES raises DomainError before it is built;
+    metanil.core.collect_text evaluates the text without building a Word.
+    """
+    return evaluate(text, params, _WORD_OPS)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import product
@@ -352,6 +353,40 @@ def test_huge_exponents_are_exact():
         (1, 0, 0, 0): n * (n - 1) * (n - 2) // 6,
     }
     assert collect_text(f"b a^{n}", p) == mul(collect_text("b", p), power(collect_text("a", p), n))
+
+
+def test_huge_power_is_evaluated_by_squaring(capsys):
+    # (a b c)^(10^18) expands to 3 * 10^18 syllables as a free-group word;
+    # evaluated in the group it is about 60 squarings of a collector state
+    from metanil.cli import main
+
+    n = 10**18
+    text = f"(a b c)^{n}"
+    expect = power(collect_text("a b c", P35), n)
+    assert collect_text(text, P35) == expect
+    assert collect_text(f"(a b c)^-{n}", P35) == inverse(expect)
+    assert main(["nf", "--rank", "3", "--class", "5", "--json", text]) == 0
+    assert element_from_json(json.loads(capsys.readouterr().out)) == expect
+
+
+def test_eq_evaluates_without_building_words(monkeypatch, capsys):
+    # the word path (parse_word, then collect) must not be taken: eq answers
+    # with both of its entry points made to raise
+    import metanil.core as core
+    import metanil.words as words
+    from metanil.cli import main
+
+    def refuse(*args):
+        raise AssertionError("a free-group Word was built")
+
+    monkeypatch.setattr(words, "parse_word", refuse)
+    monkeypatch.setattr(core, "collect", refuse)
+    w1 = "(a b^-1 c)^53 [[a b, c],[b, a c]] (c^-1 a b)^-51"
+    w2 = "(a b^-1 c)^53 (c^-1 a b)^-51"
+    assert main(["eq", "--rank", "3", "--class", "5", "--json", w1, w2]) == 0
+    assert json.loads(capsys.readouterr().out)["equal"] is True
+    assert main(["eq", "--rank", "3", "--class", "5", "--json", w1 + " [c,a]", w2]) == 0
+    assert json.loads(capsys.readouterr().out)["equal"] is False
 
 
 # --- concurrency ----------------------------------------------------------------

@@ -558,15 +558,18 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
     from metanil.cli import main
 
     solve = autos.integer_solve_explain
+    solve_factored = normality.solve_factored
 
-    def off_by_one(a, b):
-        x, kernel, cert = solve(a, b)
+    def off_by_one(solution):
+        x, kernel, cert = solution
         if x is not None:
             x = [x[0] + 1] + list(x[1:])
         return x, kernel, cert
 
-    monkeypatch.setattr(autos, "integer_solve_explain", off_by_one)
-    monkeypatch.setattr(normality, "integer_solve_explain", off_by_one)
+    monkeypatch.setattr(autos, "integer_solve_explain", lambda a, b: off_by_one(solve(a, b)))
+    monkeypatch.setattr(
+        normality, "solve_factored", lambda f, b: off_by_one(solve_factored(f, b))
+    )
     p = GroupParams(2, 2)
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
     with pytest.raises(EngineFault):
@@ -582,12 +585,13 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
     # only the layer-2 solve of the decision is off: the layers are solved
     # independently, so the final audit catches it, and the CLI reports
     # exit 5, not a refusal or bad input (exit 3)
-    layer2 = _layer_system(2, 2)[0]
+    layer2 = _layer_system(2, 2)[2]
 
-    def off_by_one_at_layer2(a, b):
-        return (off_by_one if a == layer2 else solve)(a, b)
+    def off_by_one_at_layer2(f, b):
+        solution = solve_factored(f, b)
+        return off_by_one(solution) if f is layer2 else solution
 
-    monkeypatch.setattr(normality, "integer_solve_explain", off_by_one_at_layer2)
+    monkeypatch.setattr(normality, "solve_factored", off_by_one_at_layer2)
     p = GroupParams(2, 4)
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
     with pytest.raises(EngineFault, match="fails to reproduce the automorphism"):
@@ -607,7 +611,7 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
 def test_layer_system_matches_collection(d, w):
     # column (i, D), block j is [a_j, a_i, D] on the weight-w layer, collected
     # directly rather than rewritten by Lemma 3.2
-    a, cols = _layer_system(d, w)
+    a, cols, _ = _layer_system(d, w)
     p = GroupParams(d, w)
     gens = [gen_element(p, g) for g in range(d)]
     nb = len(enumerate_basics(p, w))
@@ -632,6 +636,26 @@ def test_each_layer_system_is_built_once():
         assert isinstance(synthesize_gen_inner(f), GenInnerData)
     info = _layer_system.cache_info()
     assert (info.misses, info.hits) == (4, 4)
+
+
+def test_warm_decision_looks_up_no_matrix(monkeypatch):
+    # each layer keeps its Smith form beside its matrix, so a warm decision
+    # neither rebuilds nor hashes a layer matrix, and decides as before
+    import metanil.intsolve as intsolve
+    import metanil.normality as normality
+
+    p = GroupParams(3, 5)
+    accepted = gen_inner_to_spec(GenInnerData(p, ((collect_text("b c^-1", p), 2),)))
+    refused = AutoSpec(p, tuple(collect_text(t, p) for t in ("a [a,b]", "b", "c")))
+    cold = [synthesize_gen_inner(f) for f in (accepted, refused)]
+    assert isinstance(cold[0], GenInnerData) and isinstance(cold[1], NotGeneralizedInner)
+
+    def refuse(a):
+        raise AssertionError("a layer matrix was looked up")
+
+    monkeypatch.setattr(normality, "factor", refuse)
+    monkeypatch.setattr(intsolve, "factor", refuse)
+    assert [synthesize_gen_inner(f) for f in (accepted, refused)] == cold
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from metanil.core import collect, collect_text
 from metanil.words import (
+    MAX_WORD_SYLLABLES,
     DomainError,
     GroupParams,
     ParseError,
     Word,
     commutator_word,
+    generator_name,
     parse_word,
     retract,
 )
@@ -125,3 +128,102 @@ def test_retract_is_idempotent_and_multiplicative():
 def test_retract_fixes_supported_words():
     w = parse_word("a c a^2 c^-1", P3)
     assert retract(w, {0, 2}) == w
+
+
+# --- one parser, two evaluations ------------------------------------------------
+
+
+def random_text(rng, d, depth=0):
+    """Word text with nested powers, brackets, '1' and every name form.
+
+    Group powers stay small enough that the Word expansion is well under
+    MAX_WORD_SYLLABLES; generator powers carry the multi-digit exponents.
+    """
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        r = rng.random()
+        if depth >= 3 or r < 0.45:
+            g = rng.randrange(d)
+            atom = rng.choice([generator_name(g), f"a{g}"]) if rng.random() < 0.9 else "1"
+            exps = [-1, 2, -3, 17, -40, 123, -1000]
+        elif r < 0.75:
+            atom = "(" + random_text(rng, d, depth + 1) + ")"
+            exps = [-1, 2, -3, 10, -12]
+        else:
+            parts = [random_text(rng, d, depth + 1) for _ in range(rng.randint(2, 3))]
+            atom = "[" + ", ".join(parts) + "]"
+            exps = [-1, 2, -2]
+        if rng.random() < 0.5:
+            atom += f"^{rng.choice(exps)}"
+        terms.append(atom)
+    return " ".join(terms)
+
+
+@pytest.mark.parametrize("d,k", [(2, 6), (3, 5), (4, 4)])
+def test_group_evaluation_matches_word_collection(d, k):
+    # collect_text evaluates in the group; collect(parse_word(..)) expands
+    # the free-group word first.  Both read the same parser.
+    rng = random.Random(100 * d + k)
+    p = GroupParams(d, k)
+    for _ in range(60):
+        text = random_text(rng, d)
+        assert collect_text(text, p) == collect(parse_word(text, p), p), text
+
+
+MALFORMED = [
+    ("a (b", P2),
+    ("a ^ 2 2", P2),
+    ("[a]", P2),
+    ("a?", P2),
+    ("c", P2),
+    ("a7", P3),
+    ("a^", P2),
+    ("(a b", P2),
+    ("[a, b", P2),
+    ("a)", P2),
+    ("2", P2),
+    ("[a,,b]", P2),
+    ("(" * 201 + "a" + ")" * 201, P2),
+    ("[" * 3 + "a" + ",b]" * 2 + "(" * 200 + "a", P2),
+]
+
+
+@pytest.mark.parametrize("text,params", MALFORMED)
+def test_malformed_text_fails_identically_on_both_paths(text, params):
+    with pytest.raises((ParseError, DomainError)) as as_word:
+        parse_word(text, params)
+    with pytest.raises((ParseError, DomainError)) as in_group:
+        collect_text(text, params)
+    assert type(as_word.value) is type(in_group.value)
+    assert str(as_word.value) == str(in_group.value)
+    assert getattr(as_word.value, "position", None) == getattr(
+        in_group.value, "position", None
+    )
+
+
+def test_word_growth_fails_fast():
+    # a Word is the oracle's input and grows with every power and bracket;
+    # the product that would pass the limit is refused before it is built
+    p = GroupParams(3, 5)
+    with pytest.raises(DomainError, match="exceeds 100000"):
+        parse_word("(a b c)^1000000000000000000", p)
+    deep = "[a,b]"
+    for i in range(59):  # [[[a,b],a],b], ..., 60 brackets deep
+        deep = f"[{deep},{'ab'[i % 2]}]"
+    with pytest.raises(DomainError, match="Word product"):
+        parse_word(deep, p)
+    with pytest.raises(DomainError, match="Word product"):
+        parse_word("(a b)^50000 (a b)^50000", p)
+    # a power of one syllable, or of a conjugate, stays short whatever its
+    # exponent, and words up to the limit are still built
+    assert parse_word("a^1000000000000000000", p).letters == ((0, 10**18),)
+    assert parse_word("(a b a^-1)^1000000000000000000", p).letters == (
+        (0, 1),
+        (1, 10**18),
+        (0, -1),
+    )
+    n = MAX_WORD_SYLLABLES // 2
+    assert len(parse_word(f"(a b)^{n}", p).letters) == MAX_WORD_SYLLABLES
+    # the group evaluation builds no Word, so it has no such limit
+    assert collect_text(deep, p).is_identity
+    assert collect_text("(a b c)^1000000000000000000", p).exp == (10**18,) * 3

@@ -45,7 +45,7 @@ from .core import (
     power,
     truncate_weight,
 )
-from .intsolve import integer_solve_explain
+from .intsolve import Factorization, factor, solve_factored
 from .words import DomainError, EngineFault, GroupParams
 
 
@@ -396,6 +396,35 @@ def _conjugation_images(params: GroupParams, u: Element) -> list[Element]:
     ]
 
 
+def _step_unknowns(params: GroupParams, w: int) -> list[Element]:
+    """The unknowns of step w of the conjugator search: the generators at
+    w = 1, the weight-w basics above."""
+    if w == 1:
+        return [gen_element(params, i) for i in range(params.rank)]
+    return [derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)]
+
+
+def _inner_matrix(d: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix solved at step w of the conjugator search at rank d.
+
+    Block i (one row per weight-(w+1) basic) of the column for the unknown v
+    holds the coordinates of [a_i, v].
+    """
+    params = GroupParams(d, w + 1)
+    unknowns = _step_unknowns(params, w)
+    return tuple(
+        row
+        for g in _step_unknowns(params, 1)
+        for row in zip(*(gamma_layer(commutator(g, v), w + 1) for v in unknowns))
+    )
+
+
+@lru_cache(maxsize=64)
+def _inner_system(d: int, w: int) -> Factorization:
+    """Smith form of ``_inner_matrix(d, w)``, built and factored once per (d, w)."""
+    return factor(_inner_matrix(d, w))
+
+
 def is_inner(f: AutoSpec) -> Element | None:
     """A conjugating element realizing f, or None.
 
@@ -409,7 +438,6 @@ def is_inner(f: AutoSpec) -> Element | None:
         raise DomainError("only IA specs can be inner here")
     params = f.params
     d, k = params.rank, params.nilclass
-    gens = [gen_element(params, i) for i in range(d)]
     u = identity(params)
     for w in range(1, k):
         current = _conjugation_images(params, u)
@@ -420,20 +448,11 @@ def is_inner(f: AutoSpec) -> Element | None:
         if any(x.min_weight() < layer for x in defects):
             # the solves so far should have cleared every layer below this one
             raise EngineFault(f"conjugator search left a defect below layer {layer}")
-        # generators at layer 1, the weight-w basics above it
-        unknowns = gens if w == 1 else [
-            derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)
-        ]
-        a: list[list[int]] = []
-        b: list[int] = []
-        for i in range(d):
-            cols = [gamma_layer(commutator(gens[i], v), layer) for v in unknowns]
-            a.extend(list(row) for row in zip(*cols))
-            b.extend(gamma_layer(defects[i], layer))
-        x, _, _ = integer_solve_explain(a, b)
+        b = [c for x in defects for c in gamma_layer(x, layer)]
+        x, _, _ = solve_factored(_inner_system(d, w), b)
         if x is None:
             return None
-        for v, c in zip(unknowns, x):
+        for v, c in zip(_step_unknowns(params, w), x):
             if c:
                 u = mul(u, power(v, c))
     final = _conjugation_images(params, u)

@@ -48,7 +48,7 @@ from .core import (
     mul,
     power,
 )
-from .intsolve import Factorization, factor, integer_solve, smith_normal_form, solve_factored
+from .intsolve import Factorization, factor, integer_solve, solve_factored
 from .words import DomainError, EngineFault, GroupParams
 
 Delta = tuple[int, ...]
@@ -228,12 +228,7 @@ def delta_rewrite_injective(s: int, params: GroupParams) -> tuple[bool, dict]:
         if i != s
         for delta in deltas
     ]
-    nrows = len(enumerate_basics(params, k))
-    a = [[col[r] for col in columns] for r in range(nrows)]
-    _, diag, _ = smith_normal_form(a)
-    divisors = [
-        diag[t][t] for t in range(min(nrows, len(columns))) if diag[t][t]
-    ]
+    divisors = [x for x in factor(tuple(zip(*columns))).diag if x]
     cert = {
         "columns": len(columns),
         "rank": len(divisors),

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import metanil.autos as autos
+from metanil import clear_caches
 from metanil.autos import (
     AutoSpec,
     GenInnerData,
@@ -29,6 +31,9 @@ from metanil.autos import (
 from metanil.core import (
     collect_text,
     commutator,
+    derived_element,
+    enumerate_basics,
+    gamma_layer,
     gen_element,
     identity,
     inverse,
@@ -37,6 +42,7 @@ from metanil.core import (
     power,
     reduce_class,
 )
+from metanil.intsolve import factor
 from metanil.verify import (
     golden_ia_triple,
     random_derived_element,
@@ -433,6 +439,44 @@ def test_is_inner_refuses_the_iterated_bracket_map():
     a = gen_element(P23, 0)
     spec = gen_inner_to_spec(flatten(P23, [((a, a), 1)]))
     assert is_inner(spec) is None
+
+
+def test_inner_systems_are_the_element_built_matrices():
+    # each step's matrix is built once at class w + 1 and read at every class
+    for params in (GroupParams(2, 6), P35, GroupParams(4, 4)):
+        d, k = params.rank, params.nilclass
+        gens = [gen_element(params, i) for i in range(d)]
+        for w in range(1, k):
+            unknowns = gens if w == 1 else [
+                derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)
+            ]
+            built = tuple(
+                row
+                for g in gens
+                for row in zip(*(gamma_layer(commutator(g, v), w + 1) for v in unknowns))
+            )
+            assert autos._inner_matrix(d, w) == built
+            assert autos._inner_system(d, w) == factor(built)
+
+
+def test_warm_is_inner_builds_no_matrix(monkeypatch):
+    rng = random.Random(18)
+    clear_caches()
+    specs = []
+    for params in (P23, P35, GroupParams(4, 4)):
+        for _ in range(3):
+            specs.append(conjugation_spec(params, random_element(rng, params)))
+        specs.append(gen_inner_to_spec(flatten(params, [((gen_element(params, 0),) * 2, 1)])))
+    cold = [is_inner(spec) for spec in specs]
+    # three conjugations and one refusal per shape
+    assert [u is None for u in cold] == [False, False, False, True] * 3
+
+    def rebuilt(*args):
+        raise AssertionError("each conjugator-search system is built once")
+
+    monkeypatch.setattr(autos, "_inner_matrix", rebuilt)
+    monkeypatch.setattr(autos, "factor", rebuilt)
+    assert [is_inner(spec) for spec in specs] == cold
 
 
 def test_is_inner_identity_and_domain():

@@ -188,15 +188,15 @@ def test_engine_fault_exits_5(capsys, monkeypatch):
     # internal error with its own exit code, not a traceback or a verdict
     import metanil.autos as autos
 
-    solve = autos.integer_solve_explain
+    solve = autos.solve_factored
 
-    def off_by_one(a, b):
-        x, kernel, cert = solve(a, b)
+    def off_by_one(f, b):
+        x, kernel, cert = solve(f, b)
         if x is not None:
             x = [x[0] + 1] + list(x[1:])
         return x, kernel, cert
 
-    monkeypatch.setattr(autos, "integer_solve_explain", off_by_one)
+    monkeypatch.setattr(autos, "solve_factored", off_by_one)
     spec = '{"pairs": [{"u": "a b", "lambda": 1}]}'
     code, out, err = run(capsys, "is-inner", "--rank", "2", "--class", "3", spec)
     assert code == 5 and out == ""

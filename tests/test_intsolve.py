@@ -1,18 +1,24 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from metanil import clear_caches, intsolve
 from metanil.intsolve import (
+    Factorization,
     InfeasibilityCertificate,
-    identity_matrix,
     integer_solve,
     integer_solve_explain,
     mat_vec,
     smith_normal_form,
 )
+from metanil.normality import _layer_system
 from metanil.words import DomainError
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def rational_det(m):
@@ -38,6 +44,166 @@ def matmul(a, b):
         [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
+
+
+def dense_smith_normal_form(a, branches=None):
+    """The dense Smith reduction the sparse one reproduces, kept as the reference.
+
+    ``branches``, if given, counts the residue and offender steps taken.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [[int(v) for v in row] for row in a]
+    u = identity_matrix(m)
+    v = identity_matrix(n)
+
+    def row_op(i, t, q):  # row_i -= q * row_t
+        d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+
+    def col_op(j, t, q):  # col_j -= q * col_t
+        for row in d:
+            row[j] -= q * row[t]
+        for row in v:
+            row[j] -= q * row[t]
+
+    def swap_rows(i, t):
+        d[i], d[t] = d[t], d[i]
+        u[i], u[t] = u[t], u[i]
+
+    def swap_cols(j, t):
+        for row in d:
+            row[j], row[t] = row[t], row[j]
+        for row in v:
+            row[j], row[t] = row[t], row[j]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        # move a minimal nonzero entry of the trailing block to the pivot
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = d[i][j]
+                if x and (best is None or abs(x) < best):
+                    best, pivot = abs(x), (i, j)
+        if pivot is None:
+            break
+        while True:
+            i0, j0 = pivot
+            if i0 != t:
+                swap_rows(t, i0)
+            if j0 != t:
+                swap_cols(t, j0)
+            if d[t][t] < 0:
+                negate_row(t)
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    row_op(i, t, d[i][t] // d[t][t])
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    col_op(j, t, d[t][j] // d[t][t])
+            residue = None
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    if (i == t) == (j == t):
+                        continue
+                    x = d[i][j]
+                    if x and (best is None or abs(x) < best):
+                        best, residue = abs(x), (i, j)
+            if residue is None:
+                # pivot must divide the whole trailing block for true Smith form
+                offender = None
+                for i in range(t + 1, m):
+                    for j in range(t + 1, n):
+                        if d[i][j] % d[t][t]:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
+                if offender is None:
+                    break
+                if branches is not None:
+                    branches["offender"] += 1
+                d[t] = [x + y for x, y in zip(d[t], d[offender])]
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
+                pivot = (t, t)
+            else:
+                if branches is not None:
+                    branches["residue"] += 1
+                pivot = residue
+        t += 1
+    return u, d, v
+
+
+def factorization_from_dense(u, d, v):
+    """The Factorization fields as read off a dense (U, D, V)."""
+    m, n = len(u), len(v)
+    diag = tuple(d[i][i] if i < n else 0 for i in range(m))
+    return Factorization(
+        u_rows=tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in u),
+        diag=diag,
+        v_cols=tuple(tuple((r, v[r][j]) for r in range(n) if v[r][j]) for j in range(n)),
+        kernel=tuple(
+            tuple(v[r][j] for r in range(n)) for j in range(n) if j >= m or diag[j] == 0
+        ),
+    )
+
+
+def random_test_matrix(rng, m, n):
+    """Entries in -9..9, sparse +-1 or sparse non-units, with a zero row or
+    column now and then; the non-units reach the offender step."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        a = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
+    else:
+        entries = (0, 0, 0, 1, -1) if kind == 1 else (0, 0, 0, 2, -3, 4, 6, -6, 9)
+        a = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.25:
+        a[rng.randrange(m)] = [0] * n
+    if rng.random() < 0.25:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def test_sparse_reduction_matches_the_dense_reference():
+    rng = random.Random(41)
+    branches = Counter()
+    named = [[[2, 3]], [[2, 0], [0, 3]], [[0]], [[0, 0], [0, 0]], [[-4, 6], [6, 9]]]
+    for a in named:
+        assert smith_normal_form(a) == dense_smith_normal_form(a)
+    seen = Counter()
+    dense_smith_normal_form([[2, 3]], seen)
+    assert seen == {"residue": 1}
+    seen.clear()
+    dense_smith_normal_form([[2, 0], [0, 3]], seen)
+    assert seen["offender"] == 1
+    for m in range(1, 9):
+        for n in range(1, 9):
+            for _ in range(32):
+                a = random_test_matrix(rng, m, n)
+                expected = dense_smith_normal_form(a, branches)
+                assert smith_normal_form(a) == expected, a
+                key = tuple(map(tuple, a))
+                assert intsolve.factor.__wrapped__(key) == factorization_from_dense(*expected)
+    # both non-unit branches are exercised many times over the 2048 matrices
+    assert branches["residue"] > 500 and branches["offender"] > 50, branches
+
+
+@pytest.mark.parametrize("d,k", [(2, 8), (3, 6), (4, 5)])
+def test_layer_systems_match_the_dense_reference(d, k):
+    for w in range(2, k + 1):
+        a, _, factored = _layer_system(d, w)
+        expected = dense_smith_normal_form(a)
+        assert smith_normal_form(a) == expected, (d, w)
+        assert factored == factorization_from_dense(*expected), (d, w)
 
 
 def test_smith_properties_on_random_matrices():
@@ -140,7 +306,7 @@ def reference_solve(a, b):
     """The solver without the factorization cache: a fresh dense Smith form."""
     m = len(a)
     n = len(a[0]) if m else 0
-    u, d, v = smith_normal_form(a)
+    u, d, v = dense_smith_normal_form(a)
     c = mat_vec(u, b)
     y = [0] * n
     for i in range(m):
@@ -218,12 +384,13 @@ def test_cached_solve_matches_a_fresh_smith_form():
 
 def test_each_matrix_is_factored_once(monkeypatch):
     calls = []
+    reduce = intsolve._reduce
 
-    def counting_snf(a):
+    def counting_reduce(a):
         calls.append(len(a))
-        return smith_normal_form(a)
+        return reduce(a)
 
-    monkeypatch.setattr(intsolve, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(intsolve, "_reduce", counting_reduce)
     clear_caches()
     for t in range(5):
         # a fresh list each time: the cache is keyed on the entries

@@ -557,7 +557,6 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
     import metanil.normality as normality
     from metanil.cli import main
 
-    solve = autos.integer_solve_explain
     solve_factored = normality.solve_factored
 
     def off_by_one(solution):
@@ -566,7 +565,7 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
             x = [x[0] + 1] + list(x[1:])
         return x, kernel, cert
 
-    monkeypatch.setattr(autos, "integer_solve_explain", lambda a, b: off_by_one(solve(a, b)))
+    monkeypatch.setattr(autos, "solve_factored", lambda f, b: off_by_one(solve_factored(f, b)))
     monkeypatch.setattr(
         normality, "solve_factored", lambda f, b: off_by_one(solve_factored(f, b))
     )

@@ -93,7 +93,7 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every metanil cache, the Smith-form factorizations included.
+    """Empty every metanil cache, the peeled layer systems included.
 
     The caches only save repeated work: results are the same cold or warm.
     A long-lived process can call this to release what they hold.

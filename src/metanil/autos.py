@@ -45,7 +45,7 @@ from .core import (
     power,
     truncate_weight,
 )
-from .intsolve import Factorization, factor, solve_factored
+from .intsolve import PeeledSystem, peel, solve_peeled
 from .words import DomainError, EngineFault, GroupParams
 
 
@@ -420,9 +420,10 @@ def _inner_matrix(d: int, w: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def _inner_system(d: int, w: int) -> Factorization:
-    """Smith form of ``_inner_matrix(d, w)``, built and factored once per (d, w)."""
-    return factor(_inner_matrix(d, w))
+def _inner_system(d: int, w: int) -> PeeledSystem:
+    """``_inner_matrix(d, w)``, built and peeled once per (d, w)."""
+    a = _inner_matrix(d, w)
+    return peel([{r: x for r, x in enumerate(col) if x} for col in zip(*a)], len(a))
 
 
 def is_inner(f: AutoSpec) -> Element | None:
@@ -449,7 +450,7 @@ def is_inner(f: AutoSpec) -> Element | None:
             # the solves so far should have cleared every layer below this one
             raise EngineFault(f"conjugator search left a defect below layer {layer}")
         b = [c for x in defects for c in gamma_layer(x, layer)]
-        x, _, _ = solve_factored(_inner_system(d, w), b)
+        x, _ = solve_peeled(_inner_system(d, w), b)
         if x is None:
             return None
         for v, c in zip(_step_unknowns(params, w), x):

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers: Smith normal form and lattice solving.
+"""Exact integer linear algebra: Smith normal form, lattice solving, peeled solves.
 
 Matrices are plain lists of lists of Python ints, so coefficients can grow
 without bound.  The solver returns a particular solution together with a
@@ -14,18 +14,20 @@ sequence is that of the classical dense elimination: the pivot is the
 row-major-first entry of least |x| in the trailing block, the rest of its
 row and column is reduced modulo it until they vanish, and a pivot that
 fails to divide the block absorbs the first offending row.  So (U, D, V)
-is the dense result entry for entry; ``smith_normal_form`` densifies it,
-while ``factor`` keeps it sparse for the solver.  (Kannan and Bachem, SIAM
-J. Comput. 1979, give a polynomial-time variant with bounded entry growth;
-it is not the one that runs here.)
+is the dense result entry for entry; ``smith_normal_form`` densifies it.
+(Kannan and Bachem, SIAM J. Comput. 1979, give a polynomial-time variant
+with bounded entry growth; it is not the one that runs here.)
+
+The decision engine's systems need no Smith form: their columns ``peel`` to
+±1 pivots, and ``solve_peeled`` solves by substitution, refusing exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from heapq import heappop, heappush
 
-from .words import DomainError
+from .words import DomainError, EngineFault
 
 Matrix = list[list[int]]
 
@@ -167,94 +169,102 @@ class InfeasibilityCertificate:
         return {"row": list(self.row), "modulus": self.modulus, "value": self.value}
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """U * A * V = D for one matrix, kept sparse in the form the solver reads.
+# A's rows as {column: value} dicts, the (row, column) pivots in peel order, the other rows
+PeeledSystem = tuple[tuple[dict[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...]]
 
-    ``u_rows`` holds the rows of U as ``(column, value)`` pairs, ``diag`` the
-    diagonal of D padded with zeros to one entry per row of A, ``v_cols`` the
-    columns of V as ``(row, value)`` pairs and ``kernel`` the columns of V
-    that span ker A, dense.  The entries are those of ``smith_normal_form``.
+
+def peel(columns: list[dict[int, int]], m: int) -> PeeledSystem:
+    """Singleton peeling of the m-row matrix A with the given sparse columns.
+
+    Repeatedly take the least-indexed row with one live entry, where that
+    entry is ±1, and fix that entry's column.  Once every column is fixed, A
+    is unit lower triangular on its pivot rows: its columns span a direct
+    summand, so A x = b is solvable over Z whenever it is over Q.  A stall is
+    an engine fault, never a verdict.
     """
+    rows: list[dict[int, int]] = [{} for _ in range(m)]
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            rows[r][c] = x
+    live = [len(row) for row in rows]
+    heap = [r for r in range(m) if live[r] == 1]  # ascending, so already a heap
+    pivots: dict[int, int] = {}  # column -> row, in peel order
+    while heap:
+        r = heappop(heap)
+        c = next((c for c in rows[r] if c not in pivots), None)
+        if c is None or rows[r][c] not in (1, -1):
+            continue  # emptied since, or a non-unit entry that another row must fix
+        pivots[c] = r
+        for r2 in columns[c]:
+            live[r2] -= 1
+            if live[r2] == 1:
+                heappush(heap, r2)
+    if len(pivots) < len(columns):
+        raise EngineFault(f"peeling stalls at {len(pivots)} of {len(columns)} columns")
+    pivot_rows = set(pivots.values())
+    free = tuple(r for r in range(m) if r not in pivot_rows)
+    return tuple(rows), tuple((r, c) for c, r in pivots.items()), free
 
-    u_rows: tuple[tuple[tuple[int, int], ...], ...]
-    diag: tuple[int, ...]
-    v_cols: tuple[tuple[tuple[int, int], ...], ...]
-    kernel: tuple[tuple[int, ...], ...]
 
-    def certificate(self, i: int, modulus: int, value: int) -> InfeasibilityCertificate:
-        row = [0] * len(self.diag)
-        for j, x in self.u_rows[i]:
-            row[j] = x
-        return InfeasibilityCertificate(tuple(row), modulus, value)
+def solve_peeled(
+    system: PeeledSystem, b: list[int]
+) -> tuple[list[int] | None, InfeasibilityCertificate | None]:
+    """The unique solution of A x = b for a peeled A, or an exact certificate.
 
-
-@lru_cache(maxsize=64)
-def factor(a: tuple[tuple[int, ...], ...]) -> Factorization:
-    """Smith-form factorization of the matrix whose rows are ``a``.
-
-    The systems of the decision engine depend only on (rank, class, layer),
-    so each one is reduced once and every later right-hand side reuses it.
+    Back-substitution along the pivot rows costs the nonzeros of A.  The
+    first other row r left with a residual gives u = e_r - sum_p y_p e_(r_p),
+    u A = 0: y clears u A latest pivot first, integrally as pivots are ±1,
+    until it is zero.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u, diag, v = _reduce(a)
-    diag += [0] * (m - len(diag))
-    return Factorization(
-        u_rows=tuple(tuple(sorted(row.items())) for row in u),
-        diag=tuple(diag),
-        v_cols=tuple(tuple(sorted(col.items())) for col in v),
-        kernel=tuple(
-            tuple(col.get(r, 0) for r in range(n))
-            for j, col in enumerate(v)
-            if j >= m or diag[j] == 0
-        ),
-    )
+    rows, pivots, free = system
+    if len(b) != len(rows):
+        raise DomainError(f"dimension mismatch: {len(rows)} rows vs {len(b)} entries")
+    x = [0] * len(pivots)
+    for r, c in pivots:  # x[c] is still 0, so the sum runs over earlier pivots
+        x[c] = (b[r] - sum(v * x[j] for j, v in rows[r].items())) * rows[r][c]
+    for r in free:
+        if residual := b[r] - sum(v * x[j] for j, v in rows[r].items()):
+            u = [int(i == r) for i in range(len(rows))]
+            live = dict(rows[r])  # the nonzero entries of u A
+            for rp, c in reversed(pivots):
+                if not live:
+                    break
+                if y := live.get(c, 0) * rows[rp][c]:
+                    u[rp] = -y
+                    for j, v in rows[rp].items():
+                        live[j] = live.get(j, 0) - y * v
+                    live = {j: v for j, v in live.items() if v}
+            return None, InfeasibilityCertificate(tuple(u), 0, residual)
+    return x, None
 
 
 Solution = tuple[list[int] | None, list[list[int]] | None, InfeasibilityCertificate | None]
 
 
-def solve_factored(f: Factorization, b: list[int]) -> Solution:
-    """Solve A x = b given the factorization ``f`` of A, or explain why not.
-
-    Costs only ``U·b`` and ``V·y``, each in the number of nonzeros; the lists
-    returned are fresh on every call.
-    """
-    if len(b) != len(f.diag):
-        raise DomainError(f"dimension mismatch: {len(f.diag)} rows vs {len(b)} entries")
-    y = []  # the nonzero entries of D^-1 U b, as (index, value)
-    for i, (row, di) in enumerate(zip(f.u_rows, f.diag)):
-        ci = sum(x * b[j] for j, x in row)
-        if di:
-            if ci % di:
-                return None, None, f.certificate(i, di, ci)
-            if ci:
-                y.append((i, ci // di))
-        elif ci:
-            return None, None, f.certificate(i, 0, ci)
-    x = [0] * len(f.v_cols)
-    for j, yj in y:
-        for r, vr in f.v_cols[j]:
-            x[r] += vr * yj
-    return x, [list(col) for col in f.kernel], None
-
-
 def integer_solve_explain(a: Matrix, b: list[int]) -> Solution:
-    """Solve A x = b over the integers, or explain why there is no solution.
-
-    The Smith form of ``a`` comes from a bounded cache keyed on the matrix
-    entries, so repeated systems are reduced once.
-    """
+    """Solve A x = b over the integers with a basis of ker A, or explain why
+    there is no solution by a row of U in the Smith form U A V = D."""
+    m = len(a)
     n = len(a[0]) if a else 0
     if any(len(row) != n for row in a):
         raise DomainError("ragged matrix")
-    return solve_factored(factor(tuple(map(tuple, a))), b)
+    if len(b) != m:
+        raise DomainError(f"dimension mismatch: {m} rows vs {len(b)} entries")
+    u, diag, v = _reduce(a)
+    x = [0] * n
+    for i, row in enumerate(u):
+        ci = sum(q * b[j] for j, q in row.items())
+        di = diag[i] if i < len(diag) else 0
+        if ci % di if di else ci:
+            cert = tuple(row.get(j, 0) for j in range(m))
+            return None, None, InfeasibilityCertificate(cert, di, ci)
+        if ci:
+            for r, q in v[i].items():
+                x[r] += q * (ci // di)
+    return x, [[col.get(r, 0) for r in range(n)] for col in v[len(diag):]], None
 
 
 def integer_solve(a: Matrix, b: list[int]) -> tuple[list[int], list[list[int]]] | None:
     """Particular solution and kernel lattice basis of A x = b, or None."""
     x, kernel, cert = integer_solve_explain(a, b)
-    if cert is not None:
-        return None
-    return x, kernel
+    return None if cert is not None else (x, kernel)

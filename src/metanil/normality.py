@@ -14,9 +14,10 @@ an integer sum of symbol maps ([x, A s] = [x, s][x, A] for s in M', the
 binomial expansion of [x, a^e], and the metabelian Jacobi identity, whose
 coefficients for [a_j, c] with c in M' do not depend on j).  So each layer
 is solved from f's own coordinates.  Matching is one coupled integer
-linear system over all generators at once, built once per (rank, layer);
-infeasibility comes back as a Smith-form certificate, and by the
-independence of the rewritten symbols (checked by delta_rewrite_injective)
+linear system over all generators at once, built and peeled once per
+(rank, layer).  Its columns peel to ±1 pivots, so infeasibility comes back
+as an exact certificate (modulus 0), and by the independence of the
+rewritten symbols (checked on the Smith form by delta_rewrite_injective)
 feasibility is equivalent to the defect being generalized inner.
 """
 
@@ -48,7 +49,7 @@ from .core import (
     mul,
     power,
 )
-from .intsolve import Factorization, factor, integer_solve, solve_factored
+from .intsolve import PeeledSystem, _reduce, integer_solve, peel, solve_peeled
 from .words import DomainError, EngineFault, GroupParams
 
 Delta = tuple[int, ...]
@@ -182,14 +183,19 @@ def delta_basis_rewrite(
     repaired through [x, y, z] = [y, z, x]^-1 [x, z, y], which shifts one
     multiplicity of m onto the displaced index.  Entries with i = s vanish.
     """
+    entries = _rewrite(eps, s, params)
+    return [entries.get(seq, 0) for seq in enumerate_basics(params, params.nilclass)]
+
+
+def _rewrite(
+    eps: dict[tuple[int, Delta], int], s: int, params: GroupParams
+) -> dict[tuple[int, ...], int]:
+    """The nonzero coordinates of ``delta_basis_rewrite``, keyed by basic."""
     degree = _check_assignment(eps, s, params)
-    k = params.nilclass
-    basics = enumerate_basics(params, k)
-    index = {seq: r for r, seq in enumerate(basics)}
-    out = [0] * len(basics)
+    out: dict[tuple[int, ...], int] = {}
 
     def emit(seq: tuple[int, ...], coef: int) -> None:
-        out[index[seq]] += coef
+        out[seq] = out.get(seq, 0) + coef
 
     for (i, delta), coef in eps.items():
         if not coef or i == s:
@@ -209,7 +215,7 @@ def delta_basis_rewrite(
         else:
             emit((i, m) + _delta_tail(delta_shift(delta, m, s)), -coef)
             emit((s, m) + _delta_tail(delta_shift(delta, m, i)), coef)
-    return out
+    return {seq: coef for seq, coef in out.items() if coef}
 
 
 def delta_rewrite_injective(s: int, params: GroupParams) -> tuple[bool, dict]:
@@ -228,7 +234,7 @@ def delta_rewrite_injective(s: int, params: GroupParams) -> tuple[bool, dict]:
         if i != s
         for delta in deltas
     ]
-    divisors = [x for x in factor(tuple(zip(*columns))).diag if x]
+    divisors = _reduce(list(zip(*columns)))[1]
     cert = {
         "columns": len(columns),
         "rank": len(divisors),
@@ -256,42 +262,22 @@ class NotGeneralizedInner:
         }
 
 
-def _abelianization_unimodular(f: AutoSpec) -> bool:
-    d = f.params.rank
-    mat = [[f.images[j].exp[i] for j in range(d)] for i in range(d)]
-    # integer determinant by fraction-free expansion; d is small
-    def det(m):
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        total = 0
-        for j in range(n):
-            if m[0][j]:
-                minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-                total += (-1) ** j * m[0][j] * det(minor)
-        return total
-
-    return det(mat) in (1, -1)
-
-
 @lru_cache(maxsize=64)
-def _layer_system(
-    d: int, w: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, Delta], ...], Factorization]:
-    """The weight-w matching matrix at rank d, its (i, D) columns and Smith form.
+def _layer_system(d: int, w: int) -> tuple[PeeledSystem, tuple[tuple[int, Delta], ...]]:
+    """The peeled weight-w matching system at rank d and its (i, D) columns.
 
     Block j (one row per weight-w basic) of column (i, D) holds the
     coordinates of [a_j, a_i, D], rewritten by delta_basis_rewrite.  It
-    depends only on (d, w), so each layer is built and factored once.
+    depends only on (d, w), so each layer is built and peeled once.
     """
     params = GroupParams(d, w)
+    row_of = {key: r for r, key in enumerate(product(range(d), enumerate_basics(params, w)))}
     cols = tuple((i, delta) for i in range(d) for delta in enumerate_deltas(d, w - 2))
-    a = tuple(
-        row
-        for j in range(d)
-        for row in zip(*(delta_basis_rewrite({col: 1}, j, params) for col in cols))
-    )
-    return a, cols, factor(a)
+    columns = [
+        {row_of[j, seq]: x for j in range(d) for seq, x in _rewrite({c: 1}, j, params).items()}
+        for c in cols
+    ]
+    return peel(columns, len(row_of)), cols
 
 
 def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
@@ -313,26 +299,23 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
     d, k = params.rank, params.nilclass
     if d < 2:
         raise DomainError("the decision needs a nonabelian group: rank >= 2")
-    if not _abelianization_unimodular(f):
-        raise DomainError("generator images do not define an automorphism")
+    gens = [gen_element(params, g) for g in range(d)]
     if not is_ia(f):
-        witness = next(
-            i
-            for i, img in enumerate(f.images)
-            if any(e != (1 if j == i else 0) for j, e in enumerate(img.exp))
-        )
+        # the abelianization has determinant ±1 when every elementary divisor is 1
+        if _reduce([[img.exp[i] for img in f.images] for i in range(d)])[1] != [1] * d:
+            raise DomainError("generator images do not define an automorphism")
+        witness = next(j for j in range(d) if f.images[j].exp != gens[j].exp)
         return NotGeneralizedInner(
             witness, 1, {"kind": "not-ia", "exp": list(f.images[witness].exp)}
         )
     # the collected form of an IA image is a_j followed by its defect
     defects = [img.dmap() for img in f.images]
-    gens = [gen_element(params, g) for g in range(d)]
     terms = []
     for w in range(2, k + 1):
         basics = enumerate_basics(params, w)
         b = [dm.get(s, 0) for dm in defects for s in basics]
-        _, cols, factored = _layer_system(d, w)
-        x, _, cert = solve_factored(factored, b)
+        system, cols = _layer_system(d, w)
+        x, cert = solve_peeled(system, b)
         if x is None:
             nb = len(basics)
             witness = next((j for j in range(d) if any(b[j * nb : (j + 1) * nb])), 0)

@@ -42,7 +42,7 @@ from metanil.core import (
     power,
     reduce_class,
 )
-from metanil.intsolve import factor
+from metanil.intsolve import peel
 from metanil.verify import (
     golden_ia_triple,
     random_derived_element,
@@ -456,7 +456,8 @@ def test_inner_systems_are_the_element_built_matrices():
                 for row in zip(*(gamma_layer(commutator(g, v), w + 1) for v in unknowns))
             )
             assert autos._inner_matrix(d, w) == built
-            assert autos._inner_system(d, w) == factor(built)
+            columns = [{r: x for r, x in enumerate(col) if x} for col in zip(*built)]
+            assert autos._inner_system(d, w) == peel(columns, len(built))
 
 
 def test_warm_is_inner_builds_no_matrix(monkeypatch):
@@ -475,7 +476,7 @@ def test_warm_is_inner_builds_no_matrix(monkeypatch):
         raise AssertionError("each conjugator-search system is built once")
 
     monkeypatch.setattr(autos, "_inner_matrix", rebuilt)
-    monkeypatch.setattr(autos, "factor", rebuilt)
+    monkeypatch.setattr(autos, "peel", rebuilt)
     assert [is_inner(spec) for spec in specs] == cold
 
 

@@ -45,6 +45,28 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_dense_abelianization_is_decided_quickly(capsys):
+    # image j has the exponents of column j of L U, L and U the all-ones lower
+    # and upper triangles: dense and unimodular, which a cofactor expansion of
+    # the determinant takes 12! steps to see
+    d = 12
+    exp = [[min(i, j) + 1 for i in range(d)] for j in range(d)]
+    args = ("synthesize", "--rank", str(d), "--class", "2", "--json")
+    spec = json.dumps({"images": [{"exp": e} for e in exp]})
+    code, out, _ = run(capsys, *args, spec)
+    assert code == 0
+    assert json.loads(out) == {
+        "witness_generator": 0,
+        "layer": 1,
+        "certificate": {"kind": "not-ia", "exp": [1] * d},
+    }
+    exp[-1][-1] += 1  # the leading minors are all 1, so the determinant is now 2
+    spec = json.dumps({"images": [{"exp": e} for e in exp]})
+    code, out, err = run(capsys, *args, spec)
+    assert code == 3 and out == ""
+    assert "do not define an automorphism" in err
+
+
 def test_nesting_limit(capsys):
     # deep nesting is a domain error (exit 3), raised before the recursive
     # parser can overflow the interpreter stack
@@ -188,15 +210,15 @@ def test_engine_fault_exits_5(capsys, monkeypatch):
     # internal error with its own exit code, not a traceback or a verdict
     import metanil.autos as autos
 
-    solve = autos.solve_factored
+    solve = autos.solve_peeled
 
-    def off_by_one(f, b):
-        x, kernel, cert = solve(f, b)
+    def off_by_one(system, b):
+        x, cert = solve(system, b)
         if x is not None:
             x = [x[0] + 1] + list(x[1:])
-        return x, kernel, cert
+        return x, cert
 
-    monkeypatch.setattr(autos, "solve_factored", off_by_one)
+    monkeypatch.setattr(autos, "solve_peeled", off_by_one)
     spec = '{"pairs": [{"u": "a b", "lambda": 1}]}'
     code, out, err = run(capsys, "is-inner", "--rank", "2", "--class", "3", spec)
     assert code == 5 and out == ""

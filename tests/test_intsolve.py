@@ -5,16 +5,18 @@ from fractions import Fraction
 import pytest
 
 from metanil import clear_caches, intsolve
+from metanil.autos import _inner_system
 from metanil.intsolve import (
-    Factorization,
     InfeasibilityCertificate,
     integer_solve,
     integer_solve_explain,
     mat_vec,
+    peel,
     smith_normal_form,
+    solve_peeled,
 )
 from metanil.normality import _layer_system
-from metanil.words import DomainError
+from metanil.words import DomainError, EngineFault
 
 
 def identity_matrix(n):
@@ -141,18 +143,21 @@ def dense_smith_normal_form(a, branches=None):
     return u, d, v
 
 
-def factorization_from_dense(u, d, v):
-    """The Factorization fields as read off a dense (U, D, V)."""
+def sparse_from_dense(u, d, v):
+    """The sparse reduction's (U rows, nonzero diagonal, V columns) as read off
+    a dense (U, D, V)."""
     m, n = len(u), len(v)
-    diag = tuple(d[i][i] if i < n else 0 for i in range(m))
-    return Factorization(
-        u_rows=tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in u),
-        diag=diag,
-        v_cols=tuple(tuple((r, v[r][j]) for r in range(n) if v[r][j]) for j in range(n)),
-        kernel=tuple(
-            tuple(v[r][j] for r in range(n)) for j in range(n) if j >= m or diag[j] == 0
-        ),
+    return (
+        [{j: x for j, x in enumerate(row) if x} for row in u],
+        [d[i][i] for i in range(min(m, n)) if d[i][i]],
+        [{r: v[r][j] for r in range(n) if v[r][j]} for j in range(n)],
     )
+
+
+def dense_rows(system):
+    """The dense matrix of a peeled system."""
+    rows, pivots, _ = system
+    return [[row.get(c, 0) for c in range(len(pivots))] for row in rows]
 
 
 def random_test_matrix(rng, m, n):
@@ -191,8 +196,7 @@ def test_sparse_reduction_matches_the_dense_reference():
                 a = random_test_matrix(rng, m, n)
                 expected = dense_smith_normal_form(a, branches)
                 assert smith_normal_form(a) == expected, a
-                key = tuple(map(tuple, a))
-                assert intsolve.factor.__wrapped__(key) == factorization_from_dense(*expected)
+                assert intsolve._reduce(a) == sparse_from_dense(*expected)
     # both non-unit branches are exercised many times over the 2048 matrices
     assert branches["residue"] > 500 and branches["offender"] > 50, branches
 
@@ -200,10 +204,10 @@ def test_sparse_reduction_matches_the_dense_reference():
 @pytest.mark.parametrize("d,k", [(2, 8), (3, 6), (4, 5)])
 def test_layer_systems_match_the_dense_reference(d, k):
     for w in range(2, k + 1):
-        a, _, factored = _layer_system(d, w)
+        a = dense_rows(_layer_system(d, w)[0])
         expected = dense_smith_normal_form(a)
         assert smith_normal_form(a) == expected, (d, w)
-        assert factored == factorization_from_dense(*expected), (d, w)
+        assert intsolve._reduce(a) == sparse_from_dense(*expected), (d, w)
 
 
 def test_smith_properties_on_random_matrices():
@@ -281,7 +285,7 @@ def test_solution_and_kernel_round_trip():
 
 
 def test_dimension_mismatch():
-    for _ in range(2):  # cold, then with the well-formed matrix factored
+    for _ in range(2):  # twice: a refused call leaves nothing behind
         with pytest.raises(DomainError):
             integer_solve([[1, 2]], [1, 2])
         with pytest.raises(DomainError):
@@ -303,7 +307,7 @@ def test_zero_sized_systems():
 
 
 def reference_solve(a, b):
-    """The solver without the factorization cache: a fresh dense Smith form."""
+    """The solver on the dense reference Smith form."""
     m = len(a)
     n = len(a[0]) if m else 0
     u, d, v = dense_smith_normal_form(a)
@@ -382,27 +386,6 @@ def test_cached_solve_matches_a_fresh_smith_form():
     assert min(kinds.values()) >= 30, kinds
 
 
-def test_each_matrix_is_factored_once(monkeypatch):
-    calls = []
-    reduce = intsolve._reduce
-
-    def counting_reduce(a):
-        calls.append(len(a))
-        return reduce(a)
-
-    monkeypatch.setattr(intsolve, "_reduce", counting_reduce)
-    clear_caches()
-    for t in range(5):
-        # a fresh list each time: the cache is keyed on the entries
-        integer_solve_explain([[2, 0], [0, 3], [1, 1]], [2 * t, 3 * t, 5 * t])
-    assert calls == [3]
-    integer_solve_explain([[2, 0], [0, 3], [1, 2]], [0, 0, 0])
-    assert calls == [3, 3]
-    clear_caches()
-    integer_solve_explain([[2, 0], [0, 3], [1, 1]], [0, 0, 0])
-    assert calls == [3, 3, 3]
-
-
 def test_returned_lists_are_not_shared_with_the_cache():
     clear_caches()
     a = [[1, 2, 3], [0, 2, 4]]
@@ -414,3 +397,77 @@ def test_returned_lists_are_not_shared_with_the_cache():
     a[0][0] = 5  # the caller's matrix is not the key either
     x2, kernel2, _ = integer_solve_explain([[1, 2, 3], [0, 2, 4]], [1, 2])
     assert (x2, kernel2) == expected
+
+
+# --- the peeled systems of the decision engine ---------------------------------
+
+# every layer system up to these classes, and every conjugator-search system
+PEELED_SHAPES = [(2, 10), (3, 7), (4, 6), (5, 5), (6, 4), (7, 3), (8, 3)]
+
+
+@pytest.mark.parametrize("d,k", PEELED_SHAPES)
+def test_every_engine_system_peels_completely(d, k):
+    for w in range(2, k + 1):
+        (_, pivots, _), cols = _layer_system(d, w)
+        assert len(pivots) == len(cols)
+    for w in range(1, k):
+        rows, pivots, free = _inner_system(d, w)
+        assert sorted(c for _, c in pivots) == list(range(len(pivots)))
+        assert len({r for r, _ in pivots}) == len(pivots)
+        assert {c for row in rows for c in row} <= set(range(len(pivots)))
+        assert sorted(free + tuple(r for r, _ in pivots)) == list(range(len(rows)))
+
+
+def test_pivots_are_unit_and_triangular():
+    for d, k in PEELED_SHAPES:
+        (rows, pivots, _), _ = _layer_system(d, k)
+        fixed = set()
+        for r, c in pivots:
+            assert rows[r][c] in (1, -1) and set(rows[r]) - fixed == {c}
+            fixed.add(c)
+
+
+def test_peel_takes_the_least_indexed_unit_singleton():
+    # row 0 holds a non-unit singleton, so row 1 fixes column 0; that leaves
+    # row 2 a unit singleton, which goes before row 3
+    rows, pivots, free = peel([{0: 2, 1: 1, 2: 3}, {2: 1, 3: -1}], 4)
+    assert pivots == ((1, 0), (2, 1))
+    assert rows == ({0: 2}, {0: 1}, {0: 3, 1: 1}, {1: -1})
+    assert free == (0, 3)
+
+
+@pytest.mark.parametrize("columns,m", [([{0: 2}], 1), ([{0: 1, 1: 1}, {0: 1, 1: 1}], 2)])
+def test_a_stalled_peel_is_an_engine_fault(columns, m):
+    with pytest.raises(EngineFault, match="peeling stalls"):
+        peel(columns, m)
+
+
+def test_solve_peeled_refuses_a_length_mismatch():
+    with pytest.raises(DomainError):
+        solve_peeled(peel([{0: 1}], 2), [1])
+
+
+@pytest.mark.parametrize("d,k", [(2, 8), (3, 6), (4, 5)])
+def test_solve_peeled_matches_the_smith_solve(d, k):
+    rng = random.Random(100 * d + k)
+    refused = 0
+    for w in range(2, k + 1):
+        system, _ = _layer_system(d, w)
+        a = dense_rows(system)
+        m, n = len(a), len(a[0])
+        for _ in range(4):
+            b = mat_vec(a, [rng.randrange(-3, 4) for _ in range(n)])
+            x, cert = solve_peeled(system, b)
+            assert cert is None and x == integer_solve_explain(a, b)[0]
+            b[rng.randrange(m)] += rng.choice([-2, -1, 1, 2])
+            x, cert = solve_peeled(system, b)
+            expected = integer_solve_explain(a, b)
+            if expected[2] is None:
+                assert cert is None and x == expected[0]
+                continue
+            refused += 1
+            assert x is None and cert.modulus == 0 and len(cert.row) == m
+            assert [sum(cert.row[r] * a[r][c] for r in range(m)) for c in range(n)] == [0] * n
+            assert sum(u * v for u, v in zip(cert.row, b)) == cert.value != 0
+    # at rank 2 each layer system is square, hence unimodular: nothing refuses
+    assert refused == 0 if d == 2 else refused >= 2 * (k - 1)

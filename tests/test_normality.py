@@ -557,17 +557,17 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
     import metanil.normality as normality
     from metanil.cli import main
 
-    solve_factored = normality.solve_factored
+    solve_peeled = normality.solve_peeled
 
     def off_by_one(solution):
-        x, kernel, cert = solution
+        x, cert = solution
         if x is not None:
             x = [x[0] + 1] + list(x[1:])
-        return x, kernel, cert
+        return x, cert
 
-    monkeypatch.setattr(autos, "solve_factored", lambda f, b: off_by_one(solve_factored(f, b)))
+    monkeypatch.setattr(autos, "solve_peeled", lambda f, b: off_by_one(solve_peeled(f, b)))
     monkeypatch.setattr(
-        normality, "solve_factored", lambda f, b: off_by_one(solve_factored(f, b))
+        normality, "solve_peeled", lambda f, b: off_by_one(solve_peeled(f, b))
     )
     p = GroupParams(2, 2)
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
@@ -584,13 +584,13 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
     # only the layer-2 solve of the decision is off: the layers are solved
     # independently, so the final audit catches it, and the CLI reports
     # exit 5, not a refusal or bad input (exit 3)
-    layer2 = _layer_system(2, 2)[2]
+    layer2 = _layer_system(2, 2)[0]
 
     def off_by_one_at_layer2(f, b):
-        solution = solve_factored(f, b)
+        solution = solve_peeled(f, b)
         return off_by_one(solution) if f is layer2 else solution
 
-    monkeypatch.setattr(normality, "solve_factored", off_by_one_at_layer2)
+    monkeypatch.setattr(normality, "solve_peeled", off_by_one_at_layer2)
     p = GroupParams(2, 4)
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
     with pytest.raises(EngineFault, match="fails to reproduce the automorphism"):
@@ -610,15 +610,15 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
 def test_layer_system_matches_collection(d, w):
     # column (i, D), block j is [a_j, a_i, D] on the weight-w layer, collected
     # directly rather than rewritten by Lemma 3.2
-    a, cols, _ = _layer_system(d, w)
+    (rows, _, _), cols = _layer_system(d, w)
     p = GroupParams(d, w)
     gens = [gen_element(p, g) for g in range(d)]
     nb = len(enumerate_basics(p, w))
     assert cols == tuple((i, D) for i in range(d) for D in enumerate_deltas(d, w - 2))
-    assert len(a) == d * nb and all(len(row) == len(cols) for row in a)
+    assert len(rows) == d * nb and all(0 <= c < len(cols) for row in rows for c in row)
     for c, (i, delta) in enumerate(cols):
         for j in range(d):
-            block = [a[j * nb + r][c] for r in range(nb)]
+            block = [rows[j * nb + r].get(c, 0) for r in range(nb)]
             assert block == gamma_layer(eval_delta_comm(gens[j], gens[i], delta), w)
 
 
@@ -638,8 +638,8 @@ def test_each_layer_system_is_built_once():
 
 
 def test_warm_decision_looks_up_no_matrix(monkeypatch):
-    # each layer keeps its Smith form beside its matrix, so a warm decision
-    # neither rebuilds nor hashes a layer matrix, and decides as before
+    # each layer is kept peeled, so a warm decision neither rebuilds nor
+    # re-peels a layer system, and decides as before
     import metanil.intsolve as intsolve
     import metanil.normality as normality
 
@@ -649,11 +649,12 @@ def test_warm_decision_looks_up_no_matrix(monkeypatch):
     cold = [synthesize_gen_inner(f) for f in (accepted, refused)]
     assert isinstance(cold[0], GenInnerData) and isinstance(cold[1], NotGeneralizedInner)
 
-    def refuse(a):
-        raise AssertionError("a layer matrix was looked up")
+    def refuse(*args):
+        raise AssertionError("a layer system was rebuilt")
 
-    monkeypatch.setattr(normality, "factor", refuse)
-    monkeypatch.setattr(intsolve, "factor", refuse)
+    monkeypatch.setattr(normality, "peel", refuse)
+    monkeypatch.setattr(normality, "_rewrite", refuse)
+    monkeypatch.setattr(intsolve, "peel", refuse)
     assert [synthesize_gen_inner(f) for f in (accepted, refused)] == cold
 
 

@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .core import (
     Basic,
@@ -404,26 +404,21 @@ def _step_unknowns(params: GroupParams, w: int) -> list[Element]:
     return [derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)]
 
 
-def _inner_matrix(d: int, w: int) -> tuple[tuple[int, ...], ...]:
-    """The matrix solved at step w of the conjugator search at rank d.
-
-    Block i (one row per weight-(w+1) basic) of the column for the unknown v
-    holds the coordinates of [a_i, v].
-    """
-    params = GroupParams(d, w + 1)
-    unknowns = _step_unknowns(params, w)
-    return tuple(
-        row
-        for g in _step_unknowns(params, 1)
-        for row in zip(*(gamma_layer(commutator(g, v), w + 1) for v in unknowns))
-    )
-
-
 @lru_cache(maxsize=64)
 def _inner_system(d: int, w: int) -> PeeledSystem:
-    """``_inner_matrix(d, w)``, built and peeled once per (d, w)."""
-    a = _inner_matrix(d, w)
-    return peel([{r: x for r, x in enumerate(col) if x} for col in zip(*a)], len(a))
+    """The peeled matrix solved at step w of the conjugator search at rank d.
+
+    Block i (one row per weight-(w+1) basic) of the column for the unknown v
+    holds the coordinates of [a_i, v].  It is built and peeled once per (d, w).
+    """
+    params = GroupParams(d, w + 1)
+    row_of = {key: r for r, key in enumerate(product(range(d), enumerate_basics(params, w + 1)))}
+    gens = _step_unknowns(params, 1)
+    columns = [
+        {row_of[i, seq]: x for i, g in enumerate(gens) for seq, x in commutator(g, v).derived}
+        for v in _step_unknowns(params, w)
+    ]
+    return peel(columns, len(row_of))
 
 
 def is_inner(f: AutoSpec) -> Element | None:

@@ -6,17 +6,12 @@ basis of the solution lattice's kernel, or an explicit infeasibility
 certificate: a row vector u with u*A == 0 (mod m) but u*b != 0 (mod m),
 which any third party can re-verify by hand.
 
-The Smith reduction runs on sparse rows (D and U by row, V by column) with
-row and column swaps kept as permutations, so a pivot step costs the
-nonzeros it touches rather than the whole trailing block, and the pivot
-search stops at the first row that holds a unit.  Its operation
-sequence is that of the classical dense elimination: the pivot is the
-row-major-first entry of least |x| in the trailing block, the rest of its
-row and column is reduced modulo it until they vanish, and a pivot that
-fails to divide the block absorbs the first offending row.  So (U, D, V)
-is the dense result entry for entry; ``smith_normal_form`` densifies it.
-(Kannan and Bachem, SIAM J. Comput. 1979, give a polynomial-time variant
-with bounded entry growth; it is not the one that runs here.)
+The Smith form serves only small systems: lemma 3.1 closure membership
+(through ``integer_solve``), the lemma 3.2 rewrite-injectivity certificate
+and the abelianization of a non-IA map.  It is the classical dense
+elimination.  (Kannan and Bachem, SIAM J. Comput. 1979, give a
+polynomial-time variant with bounded entry growth; it is not the one that
+runs here.)
 
 The decision engine's systems need no Smith form: their columns ``peel`` to
 ±1 pivots, and ``solve_peeled`` solves by substitution, refusing exactly.
@@ -32,92 +27,54 @@ from .words import DomainError, EngineFault
 Matrix = list[list[int]]
 
 
-def mat_vec(a: Matrix, x: list[int]) -> list[int]:
-    return [sum(r * v for r, v in zip(row, x)) for row in a]
+def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Return unimodular (U, D, V) with U * A * V = D diagonal, d_i | d_{i+1}.
 
-
-def _reduce(a: Matrix) -> tuple[list[dict[int, int]], list[int], list[dict[int, int]]]:
-    """Sparse Smith reduction of ``a``: U by rows, the nonzero diagonal, V by columns.
-
-    Rows of D and U are dicts keyed by a stable column label, and ``holders``
-    maps each column label of D to the rows holding it; swaps only permute
-    the position-to-label lists.  V is kept as dicts by column.
+    The pivot is the row-major-first entry of least |x| in the trailing
+    block, the rest of its row and column is reduced modulo it until they
+    vanish, and a pivot that fails to divide the block absorbs the first
+    offending row.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [{j: int(x) for j, x in enumerate(row) if x} for row in a]
-    u = [{i: 1} for i in range(m)]
-    v = [{j: 1} for j in range(n)]
-    holders: list[set[int]] = [set() for _ in range(n)]
-    for r, row in enumerate(d):
-        for c in row:
-            holders[c].add(r)
-    rows, cols = list(range(m)), list(range(n))  # position -> label
-    rowpos, colpos = list(range(m)), list(range(n))  # label -> position
-
-    def axpy(dst, src, q, owner=None):  # dst += q * src; owner: dst's row label in D
-        for c, x in src.items():
-            y = dst.get(c, 0) + q * x
-            if y:
-                if owner is not None and c not in dst:
-                    holders[c].add(owner)
-                dst[c] = y
-            else:
-                del dst[c]
-                if owner is not None:
-                    holders[c].discard(owner)
-
-    def add_row(r, s, q):  # row_r += q * row_s, in D and U
-        axpy(d[r], d[s], q, r)
-        axpy(u[r], u[s], q)
-
-    def add_col(c, s, q):  # col_c += q * col_s, in D and V
-        for r in holders[s]:
-            axpy(d[r], {c: d[r][s]}, q, r)
-        axpy(v[c], v[s], q)
-
+    d = [[int(x) for x in row] for row in a]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
     t = 0
     while t < min(m, n):
-        # the row-major-first entry of least |x| in the trailing block (rows at
-        # positions >= t hold no entry left of column t); a unit ends the search
+        # rows below t hold no entry left of column t; a unit ends the search
         best = None
         for i in range(t, m):
-            row = d[rows[i]]
-            if row:
-                low, j = min((abs(x), colpos[c]) for c, x in row.items())
-                if best is None or low < best[0]:
-                    best = (low, i, j)
-                    if low == 1:
-                        break
+            low = min(((abs(x), j) for j, x in enumerate(d[i][t:], t) if x), default=None)
+            if low and (best is None or low[0] < best[0]):
+                best = (low[0], i, low[1])
+                if low[0] == 1:
+                    break
         if best is None:
             break
         pivot = best[1:]
         while True:
             i0, j0 = pivot
-            if i0 != t:
-                rows[t], rows[i0] = rows[i0], rows[t]
-                rowpos[rows[t]], rowpos[rows[i0]] = t, i0
-            if j0 != t:
-                cols[t], cols[j0] = cols[j0], cols[t]
-                colpos[cols[t]], colpos[cols[j0]] = t, j0
-            rt, ct = rows[t], cols[t]
-            p = d[rt][ct]
-            if p < 0:
-                p = -p
-                d[rt] = {c: -x for c, x in d[rt].items()}
-                u[rt] = {c: -x for c, x in u[rt].items()}
-            for r in [r for r in holders[ct] if r != rt]:
-                q = d[r][ct] // p
-                if q:
-                    add_row(r, rt, -q)
-            for c, x in [(c, x) for c, x in d[rt].items() if c != ct]:
-                q = x // p
-                if q:
-                    add_col(c, ct, -q)
+            d[t], d[i0] = d[i0], d[t]
+            u[t], u[i0] = u[i0], u[t]
+            for row in (*d, *v):
+                row[t], row[j0] = row[j0], row[t]
+            if d[t][t] < 0:
+                d[t] = [-x for x in d[t]]
+                u[t] = [-x for x in u[t]]
+            p = d[t][t]
+            for i in range(t + 1, m):
+                if q := d[i][t] // p:
+                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            for j in range(t + 1, n):
+                if q := d[t][j] // p:
+                    for row in (*d, *v):
+                        row[j] -= q * row[t]
             # the row-major-first entry of least |x| left in the pivot row or column
             residue = min(
-                [(abs(x), t, colpos[c]) for c, x in d[rt].items() if c != ct]
-                + [(abs(d[r][ct]), rowpos[r], t) for r in holders[ct] if r != rt],
+                [(abs(x), t, j) for j, x in enumerate(d[t][t + 1 :], t + 1) if x]
+                + [(abs(d[i][t]), i, t) for i in range(t + 1, m) if d[i][t]],
                 default=None,
             )
             if residue is None:
@@ -125,36 +82,17 @@ def _reduce(a: Matrix) -> tuple[list[dict[int, int]], list[int], list[dict[int, 
                 if p == 1:
                     break
                 offender = next(
-                    (rows[i] for i in range(t + 1, m) if any(x % p for x in d[rows[i]].values())),
-                    None,
+                    (i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None
                 )
                 if offender is None:
                     break
-                add_row(rt, offender, 1)
+                d[t] = [x + y for x, y in zip(d[t], d[offender])]
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
                 pivot = (t, t)
             else:
                 pivot = residue[1:]
         t += 1
-    return (
-        [u[r] for r in rows],
-        [d[rows[i]][cols[i]] for i in range(t)],
-        [v[c] for c in cols],
-    )
-
-
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return unimodular (U, D, V) with U * A * V = D diagonal, d_i | d_{i+1}."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u, diag, v = _reduce(a)
-    d = [[0] * n for _ in range(m)]
-    for i, x in enumerate(diag):
-        d[i][i] = x
-    return (
-        [[row.get(j, 0) for j in range(m)] for row in u],
-        d,
-        [[col.get(r, 0) for col in v] for r in range(n)],
-    )
+    return u, d, v
 
 
 @dataclass(frozen=True)
@@ -250,18 +188,18 @@ def integer_solve_explain(a: Matrix, b: list[int]) -> Solution:
         raise DomainError("ragged matrix")
     if len(b) != m:
         raise DomainError(f"dimension mismatch: {m} rows vs {len(b)} entries")
-    u, diag, v = _reduce(a)
+    u, diag, v = smith_normal_form(a)
+    rank = sum(1 for i in range(min(m, n)) if diag[i][i])
     x = [0] * n
     for i, row in enumerate(u):
-        ci = sum(q * b[j] for j, q in row.items())
-        di = diag[i] if i < len(diag) else 0
+        ci = sum(q * bj for q, bj in zip(row, b))
+        di = diag[i][i] if i < rank else 0
         if ci % di if di else ci:
-            cert = tuple(row.get(j, 0) for j in range(m))
-            return None, None, InfeasibilityCertificate(cert, di, ci)
+            return None, None, InfeasibilityCertificate(tuple(row), di, ci)
         if ci:
-            for r, q in v[i].items():
-                x[r] += q * (ci // di)
-    return x, [[col.get(r, 0) for r in range(n)] for col in v[len(diag):]], None
+            for r in range(n):
+                x[r] += v[r][i] * (ci // di)
+    return x, [[v[r][j] for r in range(n)] for j in range(rank, n)], None
 
 
 def integer_solve(a: Matrix, b: list[int]) -> tuple[list[int], list[list[int]]] | None:

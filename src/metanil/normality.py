@@ -49,7 +49,7 @@ from .core import (
     mul,
     power,
 )
-from .intsolve import PeeledSystem, _reduce, integer_solve, peel, solve_peeled
+from .intsolve import PeeledSystem, integer_solve, peel, smith_normal_form, solve_peeled
 from .words import DomainError, EngineFault, GroupParams
 
 Delta = tuple[int, ...]
@@ -227,6 +227,7 @@ def delta_rewrite_injective(s: int, params: GroupParams) -> tuple[bool, dict]:
     d, k = params.rank, params.nilclass
     if d < 2:
         raise DomainError("independence needs rank >= 2")
+    _check_assignment({}, s, params)
     deltas = enumerate_deltas(d, k - 2)
     columns = [
         delta_basis_rewrite({(i, delta): 1}, s, params)
@@ -234,7 +235,8 @@ def delta_rewrite_injective(s: int, params: GroupParams) -> tuple[bool, dict]:
         if i != s
         for delta in deltas
     ]
-    divisors = _reduce(list(zip(*columns)))[1]
+    diag = smith_normal_form(list(zip(*columns)))[1]
+    divisors = [diag[i][i] for i in range(min(len(diag), len(columns))) if diag[i][i]]
     cert = {
         "columns": len(columns),
         "rank": len(divisors),
@@ -302,7 +304,8 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
     gens = [gen_element(params, g) for g in range(d)]
     if not is_ia(f):
         # the abelianization has determinant ±1 when every elementary divisor is 1
-        if _reduce([[img.exp[i] for img in f.images] for i in range(d)])[1] != [1] * d:
+        diag = smith_normal_form([[img.exp[i] for img in f.images] for i in range(d)])[1]
+        if any(diag[i][i] != 1 for i in range(d)):
             raise DomainError("generator images do not define an automorphism")
         witness = next(j for j in range(d) if f.images[j].exp != gens[j].exp)
         return NotGeneralizedInner(

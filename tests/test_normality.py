@@ -224,6 +224,9 @@ def test_rewrite_agrees_with_direct_collection():
 def test_rewrite_degree_validation():
     with pytest.raises(DomainError):
         delta_basis_rewrite({(0, (1, 1)): 1}, 1, P23)  # degree 2, class 3 needs 1
+    # below class 2 there is no rewrite, so no full-rank certificate either
+    with pytest.raises(DomainError, match="ambient class must be at least 2"):
+        delta_rewrite_injective(0, GroupParams(2, 1))
 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])

@@ -92,15 +92,25 @@ from .normality import (
 __version__ = "0.1.0"
 
 
+def _caches():
+    """(name, function) for every lru_cache in metanil, named like "core.mul"."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for attr, fn in vars(mod).items():
+                if getattr(fn, "__module__", None) == name and hasattr(fn, "cache_clear"):
+                    yield f"{name[len(__name__) + 1:]}.{attr}", fn
+
+
+def cache_info() -> dict:
+    """Hits, misses, maxsize and current size of every metanil cache, by name."""
+    return {name: fn.cache_info() for name, fn in _caches()}
+
+
 def clear_caches() -> None:
     """Empty every metanil cache, the peeled layer systems included.
 
     The caches only save repeated work: results are the same cold or warm.
     A long-lived process can call this to release what they hold.
     """
-    for name, mod in list(sys.modules.items()):
-        if not name.startswith(__name__ + "."):
-            continue
-        for val in vars(mod).values():
-            if getattr(val, "__module__", None) == name and hasattr(val, "cache_clear"):
-                val.cache_clear()
+    for _, fn in _caches():
+        fn.cache_clear()

@@ -181,16 +181,25 @@ def _act_gen_pow(vec: DVec, j: int, e: int, k: int) -> DVec:
     return out
 
 
-def _hockey(vec: DVec, j: int, e: int, k: int) -> DVec:
-    """sum_{r>=0} binom(e, r+1) D_j^r applied to vec (a truncated geometric sum)."""
+def _hockey(vec: DVec, n: int, step) -> DVec:
+    """sum_{r>=0} binom(n, r+1) N^r vec = sum_{i<n} (1+N)^i vec, N = step nilpotent."""
     out: DVec = {}
-    cur = vec
     r = 0
-    while cur:
-        _vadd(out, cur, binom(e, r + 1))
-        cur = _apply_d(cur, j, k)
+    while vec:
         r += 1
+        _vadd(out, vec, binom(n, r))
+        vec = step(vec)
     return out
+
+
+def _conj_minus_one(vec: DVec, e, k: int) -> DVec:
+    """N_E = conj_(a^E) - 1: block j adds ((1 + D_j)^E_j - 1) u, which is 0 on weight k."""
+    u = dict(vec)
+    for j, c in enumerate(e):
+        for seq, coef in [p for p in u.items() if c and len(p[0]) < k]:
+            for s2, c2 in _act_basis(seq, j, c, k)[1:]:  # [0] is (seq, 1)
+                u[s2] = u.get(s2, 0) + coef * c2
+    return {s: v - vec.get(s, 0) for s, v in u.items() if v != vec.get(s, 0)}
 
 
 @lru_cache(maxsize=1 << 15)
@@ -198,8 +207,8 @@ def _gen_comm_cached(
     m: int, em: int, j: int, ej: int, k: int
 ) -> tuple[tuple[Basic, int], ...]:
     base: DVec = {(m, j): 1} if m > j else {(j, m): -1}
-    inner = _hockey(base, j, ej, k)
-    return tuple(_hockey(inner, m, em, k).items())
+    inner = _hockey(base, ej, lambda v: _apply_d(v, j, k))
+    return tuple(_hockey(inner, em, lambda v: _apply_d(v, m, k)).items())
 
 
 def _gen_comm(m: int, em: int, j: int, ej: int, k: int) -> DVec:
@@ -395,26 +404,51 @@ def _sinv(params: GroupParams, x: State) -> State:
     return _smul(params, ((0,) * params.rank, {s: -c for s, c in x[1].items()}), (exp, vec))
 
 
+@lru_cache(maxsize=1 << 8)
+def _power_differences(params: GroupParams, e: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Newton forward differences delta_r of the derived parts p_i of A^i, A = a^e.
+
+    The collected coordinates are a Mal'cev basis, so by P. Hall p_n is a
+    polynomial of degree <= k in n: p_n = sum_r binom(n, r) delta_r for all n.
+    """
+    pts, x = [{}], ((0,) * params.rank, {})
+    for _ in range(params.nilclass):
+        x = _smul(params, x, (e, {}))
+        pts.append(x[1])
+    diffs = [{} for _ in pts]
+    for r, delta in enumerate(diffs):
+        for i in range(r + 1):
+            _vadd(delta, pts[i], (-1) ** (r - i) * math.comb(r, i))
+    return tuple(tuple(delta.items()) for delta in diffs)
+
+
 def _spow(params: GroupParams, x: State, n: int) -> State:
-    """x^n by squaring: O(log |n|) products, whatever the size of n."""
-    if n < 0:
-        x, n = _sinv(params, x), -n
-    out: State = ([0] * params.rank, {})
-    while n:
-        if n & 1:
+    """x^n in closed form, at a cost that does not grow with |n|.
+
+    With x = A s, A = a^E: (A s)^n = A^n sum_r binom(n, r+1) N_E^r s, A^n the
+    Hall polynomial of _power_differences, for n < 0 too.  The k - 1 rounds
+    of N_E cost up to k/2 products, so |n| <= (k+1)/2 takes plain products.
+    """
+    if 2 * abs(n) <= params.nilclass + 1:
+        if n < 0:
+            x, n = _sinv(params, x), -n
+        out = x if n else ((0,) * params.rank, {})
+        for _ in range(n - 1):
             out = _smul(params, out, x)
-        n >>= 1
-        if n:
-            x = _smul(params, x, x)
-    return out
+        return out
+    e, k = tuple(x[0]), params.nilclass
+    out = _hockey(x[1], n, lambda v: _conj_minus_one(v, e, k))
+    for r, delta in enumerate(_power_differences(params, e)):
+        _vadd(out, dict(delta), binom(n, r))
+    return [n * c for c in e], out
 
 
 def collect_text(text: str, params: GroupParams) -> Element:
     """Evaluate word text in the group, building no free-group Word.
 
-    Products fold into a collector state and powers square on it, so cost
-    grows with log |n|, not n; brackets take the closed-form commutator of
-    their operands.
+    Products fold into a collector state and powers take _spow's closed
+    form, whose cost does not grow with |n|; brackets take the closed-form
+    commutator of their operands.
     """
     zero = (0,) * params.rank
     ops = WordOps(
@@ -439,6 +473,7 @@ def inverse(x: Element) -> Element:
 
 
 def power(x: Element, n: int) -> Element:
+    """x^n for any integer n, in closed form past |n| = (k+1)/2 (see _spow)."""
     return _mk(x.params, *_spow(x.params, _state(x), n))
 
 
@@ -461,22 +496,10 @@ def commutator(x: Element, y: Element) -> Element:
     """
     _check_params(x, y)
     params = x.params
-    k = params.nilclass
     out: DVec = dict(_comm_exp_parts(params, x.exp, y.exp))
-    if x.derived:
-        s = x.dmap()
-        conj = s
-        for j in range(params.rank):
-            conj = _act_gen_pow(conj, j, y.exp[j], k)
-        _vadd(out, conj)
-        _vadd(out, s, -1)
-    if y.derived:
-        t = y.dmap()
-        conj = t
-        for j in range(params.rank):
-            conj = _act_gen_pow(conj, j, x.exp[j], k)
-        _vadd(out, conj, -1)
-        _vadd(out, t)
+    for z, by, sign in ((x, y.exp, 1), (y, x.exp, -1)):
+        if z.derived:
+            _vadd(out, _conj_minus_one(z.dmap(), by, params.nilclass), sign)
     return _mk(params, (0,) * params.rank, out)
 
 

@@ -152,6 +152,17 @@ _WORD_OPS = WordOps(
 )
 
 
+def _digits(text: str, i: int) -> tuple[int, int]:
+    """The decimal literal at text[i:] and its end; past the digit limit, a ParseError."""
+    j = i
+    while j < len(text) and text[j].isdecimal():
+        j += 1
+    try:
+        return int(text[i:j]), j
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
+
+
 def _tokenize(text: str):
     toks = []
     i, n = 0, len(text)
@@ -164,11 +175,9 @@ def _tokenize(text: str):
             toks.append((ch, None, i))
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j]), i))
+        if ch.isdecimal() or ch == "a" and text[i + 1 : i + 2].isdecimal():
+            value, j = _digits(text, i + (ch == "a"))  # a0, a1, ... name generators
+            toks.append(("gen" if ch == "a" else "int", value, i))
             i = j
             continue
         if ch in "+-":
@@ -176,13 +185,6 @@ def _tokenize(text: str):
             i += 1
             continue
         if ch in _LETTERS:
-            if ch == "a" and i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(("gen", int(text[i + 1 : j]), i))
-                i = j
-                continue
             toks.append(("gen", _LETTERS.index(ch), i))
             i += 1
             continue

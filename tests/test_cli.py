@@ -41,6 +41,8 @@ def test_exit_codes(capsys):
     assert code == 3 and "domain error" in err
     code, _, err = run(capsys, "nf", "--rank", "2", "--class", "3", "c")
     assert code == 2
+    code, _, err = run(capsys, "nf", "--rank", "2", "--class", "3", "a^" + "9" * 5000)
+    assert code == 2 and "5000 digits is too long (at position 2)" in err
     code, _, err = run(capsys, "--bogus")
     assert code == 1
 

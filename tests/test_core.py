@@ -5,8 +5,14 @@ from itertools import product
 
 import pytest
 
+import metanil
 from metanil.core import (
     Element,
+    _mk,
+    _power_differences,
+    _sinv,
+    _smul,
+    _state,
     all_basics,
     collect,
     collect_text,
@@ -355,9 +361,9 @@ def test_huge_exponents_are_exact():
     assert collect_text(f"b a^{n}", p) == mul(collect_text("b", p), power(collect_text("a", p), n))
 
 
-def test_huge_power_is_evaluated_by_squaring(capsys):
+def test_huge_power_is_evaluated_in_closed_form(capsys):
     # (a b c)^(10^18) expands to 3 * 10^18 syllables as a free-group word;
-    # evaluated in the group it is about 60 squarings of a collector state
+    # evaluated in the group it is one closed-form power of a collector state
     from metanil.cli import main
 
     n = 10**18
@@ -367,6 +373,82 @@ def test_huge_power_is_evaluated_by_squaring(capsys):
     assert collect_text(f"(a b c)^-{n}", P35) == inverse(expect)
     assert main(["nf", "--rank", "3", "--class", "5", "--json", text]) == 0
     assert element_from_json(json.loads(capsys.readouterr().out)) == expect
+
+
+def squaring_power(params, x, n):
+    """x^n by repeated squaring of a collector state: the reference for power."""
+    if n < 0:
+        x, n = _sinv(params, x), -n
+    out = ([0] * params.rank, {})
+    while n:
+        if n & 1:
+            out = _smul(params, out, x)
+        n >>= 1
+        if n:
+            x = _smul(params, x, x)
+    return out
+
+
+def dense_element(rng, params):
+    # every generator exponent and every basic-commutator coefficient nonzero
+    def nz():
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+
+    derived = tuple((s, nz()) for s in all_basics(params))
+    return Element(params, tuple(nz() for _ in range(params.rank)), derived)
+
+
+@pytest.mark.parametrize(
+    "d,k", [(2, 3), (2, 8), (2, 10), (3, 5), (3, 6), (4, 5), (5, 4), (5, 6)]
+)
+def test_power_matches_the_squaring_reference(d, k):
+    # entry for entry, on both sides of the small-|n| crossover, with the
+    # Hall-polynomial cache cleared and then warm
+    params = GroupParams(d, k)
+    rng = random.Random(100 * d + k)
+    exps = [1, 2, k, k + 1, 51, 10**6, 10**18]
+    exps = [0] + exps + [-n for n in exps]
+    for x in [dense_element(rng, params) for _ in range(1 if d * k >= 30 else 2)]:
+        text = str(x)
+        assert collect_text(text, params) == x
+        for n in exps:
+            expect = _mk(params, *squaring_power(params, _state(x), n))
+            _power_differences.cache_clear()
+            for _ in ("cold", "warm"):
+                assert power(x, n) == expect, n
+                assert collect_text(f"({text})^{n}", params) == expect, n
+
+
+def test_power_texts_agree_with_the_oracle():
+    # x^n against x^m x^(n-m), |n|, |m|, |n-m| <= 60, half with a basic
+    # commutator appended: the collector's verdict is the Magnus oracle's
+    rng = random.Random(7)
+    basics = all_basics(P35)
+    verdicts = []
+    for i in range(50):
+        base = " ".join(
+            f"{rng.choice('abc')}^{rng.choice([-2, -1, 1, 2])}" for _ in range(rng.randint(2, 4))
+        )
+        n = rng.randint(-60, 60)
+        m = rng.randint(max(-60, n - 60), min(60, n + 60))
+        t1 = f"({base})^{n}"
+        t2 = f"({base})^{m} ({base})^{n - m}"
+        if i % 2:
+            t2 += " [" + ",".join("abc"[g] for g in rng.choice(basics)) + "]"
+        same = collect_text(t1, P35) == collect_text(t2, P35)
+        assert same == oracle_equal(parse_word(t1, P35), parse_word(t2, P35), P35), (t1, t2)
+        verdicts.append(same)
+    assert verdicts.count(True) == 25
+
+
+def test_cache_info_lists_every_cache():
+    power(collect_text("a b c", P35), 51)
+    info = metanil.cache_info()
+    assert {"core.mul", "core._act_basis", "magnus._basis"} <= set(info)
+    assert info["core._power_differences"].currsize >= 1
+    assert info["core._power_differences"].maxsize == 256
+    metanil.clear_caches()
+    assert all(ci.currsize == 0 for ci in metanil.cache_info().values())
 
 
 def test_eq_evaluates_without_building_words(monkeypatch, capsys):

@@ -185,6 +185,9 @@ MALFORMED = [
     ("[a,,b]", P2),
     ("(" * 201 + "a" + ")" * 201, P2),
     ("[" * 3 + "a" + ",b]" * 2 + "(" * 200 + "a", P2),
+    pytest.param("a^" + "9" * 5000, P2, id="long-exponent-literal"),
+    pytest.param("b a" + "1" * 5000, P2, id="long-generator-literal"),
+    pytest.param("a^\u00b2", P2, id="superscript-digit"),
 ]
 
 

@@ -27,7 +27,7 @@ from .autos import (
     spec_from_json,
     spec_to_json,
 )
-from .core import collect_text, element_from_text, element_to_json
+from .core import collect_text, element_from_text, element_to_json, text_state
 from .normality import NotGeneralizedInner, synthesize_gen_inner
 from .verify import SUITES, CliConfig, oracle_selftest, verify_paper
 from .words import DomainError, EngineFault, GroupParams, ParseError
@@ -98,7 +98,7 @@ def _nf(args, params):
 
 
 def _eq(args, params):
-    same = collect_text(args.word1, params) == collect_text(args.word2, params)
+    same = text_state(args.word1, params) == text_state(args.word2, params)
     if args.json:
         print(json.dumps({"equal": same}))
     else:

@@ -443,12 +443,12 @@ def _spow(params: GroupParams, x: State, n: int) -> State:
     return [n * c for c in e], out
 
 
-def collect_text(text: str, params: GroupParams) -> Element:
-    """Evaluate word text in the group, building no free-group Word.
+def text_state(text: str, params: GroupParams) -> State:
+    """Evaluate word text in the group to a collector state, building no Word.
 
-    Products fold into a collector state and powers take _spow's closed
-    form, whose cost does not grow with |n|; brackets take the closed-form
-    commutator of their operands.
+    Products fold into a collector state, powers take _spow's closed form,
+    whose cost does not grow with |n|, and brackets the closed-form commutator.
+    No zero coefficient is stored, so equal states mean equal elements.
     """
     zero = (0,) * params.rank
     ops = WordOps(
@@ -458,7 +458,13 @@ def collect_text(text: str, params: GroupParams) -> Element:
         lambda x, n: _spow(params, x, n),
         lambda parts: _state(left_normed([_mk(params, *x) for x in parts])),
     )
-    return _mk(params, *evaluate(text, params, ops))
+    exp, vec = evaluate(text, params, ops)
+    return tuple(exp), vec
+
+
+def collect_text(text: str, params: GroupParams) -> Element:
+    """Word text evaluated in the group, as a collected Element."""
+    return _mk(params, *text_state(text, params))
 
 
 @lru_cache(maxsize=1 << 15)

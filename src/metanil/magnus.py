@@ -301,7 +301,25 @@ def magnus_of_word(w: Word, params: GroupParams) -> MagnusMatrix:
 
 
 def oracle_equal(w1: Word, w2: Word, params: GroupParams) -> bool:
-    return magnus_of_word(w1, params) == magnus_of_word(w2, params)
+    """Equality of the images, folding only the middles where the words differ.
+
+    One pass checks every generator index and the exponent sums, the degree-1
+    part of s.  The map is a homomorphism, so u x v = u y v exactly when x = y.
+    """
+    a, b, d = w1.letters, w2.letters, params.rank
+    sums = [0] * d
+    for letters, sign in ((a, 1), (b, -1)):
+        for g, e in letters:
+            if not 0 <= g < d:
+                raise DomainError(f"generator index {g} out of range for rank {d}")
+            sums[g] += sign * e
+    if any(sums):
+        return False
+    n = min(len(a), len(b))
+    i = next((i for i in range(n) if a[i] != b[i]), n)
+    j = next((j for j in range(n - i) if a[-1 - j] != b[-1 - j]), n - i)
+    x, y = (Word(w[i : len(w) - j]) for w in (a, b))
+    return magnus_of_word(x, params) == magnus_of_word(y, params)
 
 
 def _basic_matrix(seq: Basic, params: GroupParams) -> MagnusMatrix:

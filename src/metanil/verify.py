@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 from .autos import (
@@ -25,6 +26,7 @@ from .autos import (
 )
 from .core import (
     Element,
+    collect,
     collect_text,
     derived_element,
     enumerate_basics,
@@ -46,7 +48,7 @@ from .normality import (
     normal_closure_top_generators,
     synthesize_gen_inner,
 )
-from .words import GroupParams, Word
+from .words import GroupParams, Word, commutator_word
 
 
 # --- samplers ------------------------------------------------------------------
@@ -58,9 +60,31 @@ def random_word(rng: random.Random, params: GroupParams, max_len=12, max_exp=2) 
     return Word(tuple((rng.randrange(params.rank), rng.choice(choices)) for _ in range(n)))
 
 
-def random_element(rng: random.Random, params: GroupParams, max_len=8) -> Element:
-    from .core import collect
+def related_words(rng: random.Random, params: GroupParams, max_exp=2) -> tuple[Word, Word]:
+    """Words u x v and u y v that share their ends, as the Magnus oracle strips them.
 
+    u, x, v have up to 8 syllables.  y is x with a generator bracket of weight
+    2..k+1 or a second-derived bracket inserted, or a fresh word.  Half the
+    time u ends, and half the time v starts, on the middle's end generator.
+    """
+    def word(n, gen=None):
+        exps = (rng.choice((1, -1)) * rng.randint(1, max_exp) for _ in range(n))
+        return Word(tuple((rng.randrange(params.rank) if gen is None else gen, e) for e in exps))
+
+    u, x, v, y = (word(rng.randrange(9)) for _ in range(4))
+    kind, weight = rng.randrange(3), rng.randint(2, params.nilclass + 1)
+    if kind < 2:
+        t = (reduce(commutator_word, [word(1) for _ in range(weight)]) if kind == 0
+             else commutator_word(*(commutator_word(word(3), word(3)) for _ in range(2))))
+        cut = rng.randrange(len(x.letters) + 1)
+        y = Word(x.letters[:cut]) * t * Word(x.letters[cut:])
+    if x.letters:
+        u = u * word(rng.randrange(2), x.letters[0][0])
+        v = word(rng.randrange(2), x.letters[-1][0]) * v
+    return u * x * v, u * y * v
+
+
+def random_element(rng: random.Random, params: GroupParams, max_len=8) -> Element:
     return collect(random_word(rng, params, max_len), params)
 
 
@@ -446,17 +470,14 @@ def oracle_selftest(cfg: CliConfig) -> SuiteReport:
                 srep.ok,
                 "; ".join(srep.failures),
             )
-            from .core import collect
-
-            bad = 0
-            for _ in range(n):
-                w1 = random_word(rng, p, max_len=20)
-                w2 = random_word(rng, p, max_len=20)
-                if (collect(w1, p) == collect(w2, p)) != oracle_equal(w1, w2, p):
-                    bad += 1
-            rep.add(
-                f"collector/oracle agreement on {n} pairs (rank {d}, class {k})",
-                bad == 0,
-                f"{bad} disagreements",
-            )
+            for what, draw in (
+                ("pairs", lambda: (random_word(rng, p, 20), random_word(rng, p, 20))),
+                ("related pairs u x v, u y v", lambda: related_words(rng, p)),
+            ):
+                bad = sum(
+                    (collect(w1, p) == collect(w2, p)) != oracle_equal(w1, w2, p)
+                    for w1, w2 in (draw() for _ in range(n))
+                )
+                rep.add(f"collector/oracle agreement on {n} {what} (rank {d}, class {k})",
+                        bad == 0, f"{bad} disagreements")
     return rep

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from metanil.cli import main
 
@@ -32,6 +33,22 @@ def test_eq_truncation(capsys):
     assert code == 0 and out.strip() == "equal"
     code, out, _ = run(capsys, "eq", "--rank", "2", "--class", "3", "[b,a,a]", "")
     assert code == 0 and out.strip() == "not equal"
+
+
+@pytest.mark.parametrize(
+    "word1,word2,code,err",
+    [
+        ("a b", "(a b", 2, "parse error: expected ')' (at position 4)"),
+        ("a", "c", 2, "parse error: generator index 2 out of range for rank 2 (at position 0)"),
+        ("[a", "b", 2, "parse error: expected ']' (at position 2)"),
+        ("a", "a^x", 2, "parse error: expected 'int' (at position 2)"),
+        ("a ]", "a", 2, "parse error: unexpected token ']' (at position 2)"),
+    ],
+)
+def test_eq_malformed_input(capsys, word1, word2, code, err):
+    # eq compares collector states; a bad text is still reported by the parser
+    got, out, stderr = run(capsys, "eq", "--rank", "2", "--class", "3", word1, word2)
+    assert (got, out, stderr) == (code, "", err + "\n")
 
 
 def test_exit_codes(capsys):

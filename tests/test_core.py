@@ -31,6 +31,7 @@ from metanil.core import (
     normalize_left_normed,
     power,
     reduce_class,
+    text_state,
     truncate_weight,
 )
 from metanil.magnus import oracle_equal
@@ -469,6 +470,63 @@ def test_eq_evaluates_without_building_words(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["equal"] is True
     assert main(["eq", "--rank", "3", "--class", "5", "--json", w1 + " [c,a]", w2]) == 0
     assert json.loads(capsys.readouterr().out)["equal"] is False
+
+
+def _words_pair_texts(rng: random.Random, params: GroupParams, i: int) -> tuple[str, str]:
+    """Two factors (x y z)^e, |e| in 50..55, and the same with a bracket inserted.
+
+    The insert is a second-derived bracket or a weight-(k+1) bracket (both
+    trivial), or a power of a basic commutator of weight <= k (never trivial).
+    """
+    names = "abcd"[: params.rank]
+
+    def sub(n):
+        return " ".join(g if rng.random() < 0.5 else f"{g}^-1" for g in rng.sample(names, n))
+
+    factors = [f"({sub(3)})^{rng.choice([1, -1]) * rng.randint(50, 55)}" for _ in range(2)]
+    if i % 3 == 0:
+        insert = "[[{},{}],[{},{}]]".format(*(sub(2) for _ in range(4)))
+    elif i % 3 == 1:
+        insert = "[" + ",".join(sub(1) for _ in range(params.nilclass + 1)) + "]"
+    else:
+        seq = rng.choice(all_basics(params))
+        insert = "[" + ",".join(names[g] for g in seq) + f"]^{rng.choice([-2, -1, 2])}"
+    pos = rng.randrange(3)
+    return " ".join(factors), " ".join(factors[:pos] + [insert] + factors[pos:])
+
+
+def _power_texts(rng: random.Random, params: GroupParams, i: int) -> tuple[str, str]:
+    """x^n against x^m x^(n-m), n up to 10^18, half with a bracket appended."""
+    names = "abcd"[: params.rank]
+    base = " ".join(
+        f"{rng.choice(names)}^{rng.choice([-2, -1, 1, 2])}" for _ in range(rng.randint(1, 4))
+    )
+    n = rng.choice([rng.randint(-60, 60), 10**18, -(10**18)])
+    m = rng.randint(-60, 60)
+    t2 = f"({base})^{m} ({base})^{n - m}"
+    if i % 2:
+        t2 += " [" + ",".join(rng.choice(names) for _ in range(rng.randint(2, 4))) + "]"
+    return f"({base})^{n}", t2
+
+
+@pytest.mark.parametrize("texts", [_words_pair_texts, _power_texts])
+def test_text_states_compare_like_elements(texts):
+    # eq compares collector states, so equal states must mean equal Elements
+    # and unequal states unequal ones: a state holds an exponent tuple and no
+    # zero coefficient
+    rng = random.Random(15)
+    verdicts = []
+    for params in (P33, P35, GroupParams(4, 4)):
+        for i in range(24):
+            t1, t2 = texts(rng, params, i)
+            s1, s2 = text_state(t1, params), text_state(t2, params)
+            for t, st in ((t1, s1), (t2, s2)):
+                assert isinstance(st[0], tuple) and all(st[1].values())
+                assert _mk(params, *st) == collect_text(t, params)
+            same = s1 == s2
+            assert same == (collect_text(t1, params) == collect_text(t2, params)), (t1, t2)
+            verdicts.append(same)
+    assert 0 < verdicts.count(True) < len(verdicts)
 
 
 # --- concurrency ----------------------------------------------------------------

@@ -17,7 +17,7 @@ from metanil.magnus import (
     oracle_equal,
 )
 from metanil.words import DomainError, GroupParams, Word, parse_word
-from metanil.verify import random_word
+from metanil.verify import random_word, related_words
 
 P22 = GroupParams(2, 2)
 P23 = GroupParams(2, 3)
@@ -263,3 +263,94 @@ def test_oracle_collector_agreement_on_long_powered_words():
         assert len(w1.letters) >= 300
         assert oracle_equal(w1, w2, params) is equal
         assert (collect(w1, params) == collect(w2, params)) is equal
+
+
+# --- oracle_equal folds only the middles between the shared ends --------------
+
+
+def _full_fold_equal(w1: Word, w2: Word, params: GroupParams) -> bool:
+    """Reference: fold both whole words and compare the two pairs."""
+    return magnus_of_word(w1, params) == magnus_of_word(w2, params)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_oracle_equal_matches_the_full_fold_on_related_pairs(d, k):
+    # u x v against u y v: y = x with a trivial bracket (weight k+1 or second
+    # derived) inserted, with a generator bracket of weight <= k, or fresh;
+    # the ends often merge with the middle, and every third pair has
+    # exponents up to 10^18
+    params = GroupParams(d, k)
+    rng = random.Random(100 * d + k)
+    verdicts = []
+    for i in range(30):
+        w1, w2 = related_words(rng, params, max_exp=10**18 if i % 3 == 0 else 2)
+        same = _full_fold_equal(w1, w2, params)
+        assert oracle_equal(w1, w2, params) is same, (w1, w2)
+        assert oracle_equal(w2, w1, params) is same
+        verdicts.append(same)
+    assert True in verdicts
+    assert False in verdicts or d == 1
+
+
+@pytest.mark.parametrize(
+    "d,k,text1,text2",
+    [
+        # the last syllable of u merges with the first of the middle
+        (2, 3, "b a^2 a b a", "b a^2 a [b,a,a,a] b a"),
+        (2, 3, "b a^2 a b a", "b a^2 a^2 b a^-1 a"),
+        (3, 4, "c a^3 (a b)^2 c", "c a^3 a [b,a] b a b c"),
+        # the middle's last syllable merges with the first of v
+        (3, 4, "a b c^2 c^5", "a b [[a,b],[c,a]] c^2 c^5"),
+        (3, 4, "a b c^-1 c^3", "a b c c^-2 [c,a,b] c^3"),
+        # u x v with an empty x, and one word a prefix of the other
+        (2, 5, "a b", "a [b,a,a,b,b,a] b"),
+        (3, 3, "a b", "a b [c,a]"),
+        (3, 3, "a b", "[c,b,b,b] a b"),
+        (2, 5, "a^1000000000000000000 b", "a^999999999999999999 a b"),
+    ],
+)
+def test_oracle_equal_across_merged_junctions(d, k, text1, text2):
+    params = GroupParams(d, k)
+    w1, w2 = parse_word(text1, params), parse_word(text2, params)
+    same = _full_fold_equal(w1, w2, params)
+    assert oracle_equal(w1, w2, params) is same
+    assert same is (collect(w1, params) == collect(w2, params))
+
+
+def test_oracle_equal_checks_the_range_over_the_whole_word():
+    # the index check must not skip the shared ends: both pairs are out of
+    # range for rank 3 although their ends agree
+    params = GroupParams(3, 3)
+    for w1, w2 in [
+        (Word(((5, 1),)), Word(((5, 1),))),
+        (Word(((5, 1), (0, 1))), Word(((5, 1), (1, 1)))),
+        (Word(((0, 1), (1, 1), (-1, 2))), Word(((0, 1), (1, 1), (-1, 2)))),
+    ]:
+        with pytest.raises(DomainError, match="out of range for rank 3"):
+            oracle_equal(w1, w2, params)
+
+
+def test_oracle_equal_folds_only_where_the_words_differ(monkeypatch):
+    import metanil.magnus as magnus
+
+    folded = []
+    fold = magnus.magnus_of_word
+
+    def counting(w, params):
+        folded.append(len(w.letters))
+        return fold(w, params)
+
+    monkeypatch.setattr(magnus, "magnus_of_word", counting)
+    params = GroupParams(3, 5)
+    rng = random.Random(56)
+    for i in range(6):
+        equal = i % 2 == 0
+        w1, w2 = _benchmark_shaped_pair(rng, params, equal)
+        folded.clear()
+        assert oracle_equal(w1, w2, params) is equal
+        assert len(folded) == 2 and sum(folded) <= 200 < 300 <= len(w1.letters)
+    # different exponent sums are decided before any fold
+    folded.clear()
+    assert not oracle_equal(parse_word("a b c", params), parse_word("a c", params), params)
+    assert folded == []

@@ -7,13 +7,18 @@ A map x -> x * prod [x, u_i]^lambda(i) is an endomorphism of any metabelian
 group and an automorphism of any metabelian nilpotent one.  Write it as
 1 + A with A = sum_i lambda_i e(u_i).  Composition multiplies bracket tails,
 (1 + B)(1 + A) = 1 + A + B + AB, where AB holds the cross terms
-[x, u_i, v_j]; flatten folds such nested terms back to flat pairs via
-[x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz].  compose_gen_inner is this
-product, invert_gen_inner the finite series sum_r (-A)^r, and the solved
-bracket symbols of the decision are flattened the same way.  Data equality
-is not canonical for these maps, so the official equivalence everywhere is
-extensional (equal gen_inner_to_spec images); the stored pair list is only
-brought to a normal form that the bracket cannot distinguish from the input.
+[x, u_i, v_j]; flatten folds such nested terms back to flat pairs.  M' is
+abelian and a module over the abelianization, so with v = a^E s (s in M')
+[x, a^E s] = [x, a^E][x, s] and [m, a^E s] = [m, a^E] for m in M': a term
+[x, v_1, ..., v_s] is [x, a^E_1, ..., a^E_s] times [x, N_E_s ... N_E_2 s_1],
+N_E = conj_(a^E) - 1.  The pure-exponent bracket is expanded by
+[x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz] on exponent tuples alone, and cached
+on them.  compose_gen_inner is this product, invert_gen_inner the finite
+series sum_r (-A)^r, and the solved bracket symbols of the decision are
+flattened the same way.  Data equality is not canonical for these maps, so
+the official equivalence everywhere is extensional (equal gen_inner_to_spec
+images); the stored pair list is only brought to a normal form that the
+bracket cannot distinguish from the input.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from .core import (
     Basic,
     DVec,
     Element,
+    _conj_minus_one,
     _mk,
+    _smul,
     _vadd,
     commutator,
     derived_element,
@@ -43,6 +50,7 @@ from .core import (
     left_normed,
     mul,
     power,
+    require_enumerable,
     truncate_weight,
 )
 from .intsolve import PeeledSystem, peel, solve_peeled
@@ -246,50 +254,79 @@ def gen_inner_to_spec(data: GenInnerData) -> AutoSpec:
 def flatten(params: GroupParams, terms) -> GenInnerData:
     """Flat data of x -> x * prod [x, v_1, ..., v_s]^eta over (tail, eta) terms.
 
-    Each term is expanded by [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz].  A term
-    [x, v_1, ..., v_s] has weight at least 1 + sum of the tail weights, so
-    terms whose bound exceeds the class are dead and skipped; for the same
-    reason each tail element only matters modulo weight k - s and is
-    truncated before composites are built, which keeps the element pool
-    small.  Tails recur heavily across calls, so the per-term expansion is
-    cached.
+    With v_i = a^E_i s_i (s_i in M'), each term splits as
+
+        [x, v_1, ..., v_s] = [x, a^E_1, ..., a^E_s] * [x, N_E_s ... N_E_2 s_1]
+
+    (module docstring): the first factor is _flatten_term of the exponent
+    tuples, the second one derived pair.  A term has weight at least
+    1 + sum of the tail weights, so terms whose bound exceeds the class are
+    dead and skipped, and s_1 only matters modulo weight k - s.  The
+    expansions are summed straight into the canonical form of GenInnerData:
+    exponents in order of first occurrence, all derived content in one
+    trailing pair.
     """
     k = params.nilclass
-    pairs: list[tuple[Element, int]] = []
+    exp_pairs: dict[tuple[int, ...], int] = {}
+    total: DVec = {}
     for tail, eta in terms:
         if not tail:
             raise DomainError("a term needs a nonempty tail")
         if any(v.params != params for v in tail):
             raise DomainError("term parameters do not match")
-        if eta and 1 + sum(v.min_weight() for v in tail) <= k:
-            for u, c in _flatten_term(tuple(tail), k):
-                pairs.append((u, c * eta))
+        if not eta or 1 + sum(v.min_weight() for v in tail) > k:
+            continue
+        exps = tuple(v.exp for v in tail)
+        pairs, derived = _flatten_term(params, exps)
+        for z, lam in pairs:
+            exp_pairs[z] = exp_pairs.get(z, 0) + lam * eta
+        _vadd(total, dict(derived), eta)
+        if tail[0].derived:
+            s1 = {b: c for b, c in tail[0].derived if len(b) <= k - len(tail)}
+            for e in exps[1:]:
+                s1 = _conj_minus_one(s1, e, k)
+            _vadd(total, s1, eta)
+    pairs = [(_mk(params, z, {}), lam) for z, lam in exp_pairs.items() if lam]
+    pairs.append((derived_element(params, total), 1))
     return GenInnerData(params, tuple(pairs))
 
 
 @lru_cache(maxsize=1 << 15)
-def _flatten_term(tail: tuple[Element, ...], k: int) -> tuple[tuple[Element, int], ...]:
-    s = len(tail)
-    tail = tuple(truncate_weight(v, k - s) for v in tail)
-    if 1 + sum(v.min_weight() for v in tail) > k:
-        return ()
+def _flatten_term(
+    params: GroupParams, exps: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[tuple[Basic, int], ...]]:
+    """[x, a^E_1, ..., a^E_s] as ordered (exponent, lambda) pairs and one derived vector.
+
+    With a^E_1 a^E_2 = a^(E_1+E_2) c (c in M'), [x, y, z] = [x, y]^-1 [x, z]^-1
+    [x, yz] and the split of flatten give
+
+        F(E_1, E_2, R) = -F(E_1, R) - F(E_2, R) + F(E_1+E_2, R) + [x, N_R c],
+
+    merged in that order; an exponent whose lambda reaches 0 is dropped.  A
+    zero exponent, or more than k - 1 of them, makes the bracket trivial.
+    """
+    k, s = params.nilclass, len(exps)
+    if 1 + s > k or not all(any(e) for e in exps):
+        return (), ()
     if s == 1:
-        return ((tail[0], 1),)
-    v1, v2, *rest = tail
+        return ((exps[0], 1),), ()
+    e1, e2, *rest = exps
     rest = tuple(rest)
-    out: dict[Element, int] = {}
-    for sub, sign in (
-        ((v1,) + rest, -1),
-        ((v2,) + rest, -1),
-        ((mul(v1, v2),) + rest, 1),
-    ):
-        for u, c in _flatten_term(sub, k):
-            v = out.get(u, 0) + sign * c
+    e12, c = _smul(params, (e1, {}), (e2, {}))
+    derived = {b: v for b, v in c.items() if len(b) <= k - s + 1}
+    for e in rest:
+        derived = _conj_minus_one(derived, e, k)
+    out: dict[tuple[int, ...], int] = {}
+    for sub, sign in ((e1, -1), (e2, -1), (tuple(e12), 1)):
+        pairs, dv = _flatten_term(params, (sub,) + rest)
+        for z, lam in pairs:
+            v = out.get(z, 0) + sign * lam
             if v:
-                out[u] = v
+                out[z] = v
             else:
-                out.pop(u, None)
-    return tuple(out.items())
+                out.pop(z, None)
+        _vadd(derived, dict(dv), sign)
+    return tuple(out.items()), tuple((b, v) for b, v in derived.items() if len(b) < k)
 
 
 def compose_gen_inner(psi: GenInnerData, phi: GenInnerData) -> GenInnerData:
@@ -433,6 +470,7 @@ def is_inner(f: AutoSpec) -> Element | None:
     if not is_ia(f):
         raise DomainError("only IA specs can be inner here")
     params = f.params
+    require_enumerable(params, "is-inner")
     d, k = params.rank, params.nilclass
     u = identity(params)
     for w in range(1, k):

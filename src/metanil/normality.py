@@ -48,6 +48,7 @@ from .core import (
     left_normed_rep,
     mul,
     power,
+    require_enumerable,
 )
 from .intsolve import PeeledSystem, integer_solve, peel, smith_normal_form, solve_peeled
 from .words import DomainError, EngineFault, GroupParams
@@ -311,6 +312,7 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
         return NotGeneralizedInner(
             witness, 1, {"kind": "not-ia", "exp": list(f.images[witness].exp)}
         )
+    require_enumerable(params, "synthesize")
     # the collected form of an IA image is a_j followed by its defect
     defects = [img.dmap() for img in f.images]
     terms = []

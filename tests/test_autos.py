@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 import metanil.autos as autos
+import metanil.normality as normality
 from metanil import clear_caches
 from metanil.autos import (
     AutoSpec,
@@ -41,8 +43,10 @@ from metanil.core import (
     mul,
     power,
     reduce_class,
+    truncate_weight,
 )
 from metanil.intsolve import peel
+from metanil.normality import synthesize_gen_inner
 from metanil.verify import (
     golden_ia_triple,
     random_derived_element,
@@ -242,6 +246,138 @@ def test_flatten_is_extensional():
         for _ in range(3):
             x = random_element(rng, params)
             assert apply_terms(terms, x) == apply_gen_inner(flat, x)
+
+
+def flatten_reference(params, terms):
+    """flatten by the Element recursion [x, y, z, R] = [x, y, R]^-1 [x, z, R]^-1 [x, yz, R].
+
+    The reference for flatten: the same expansion made on whole elements,
+    with no split into exponent tuples.  Each tail is truncated to weight
+    k - s, the three parts are merged in that order, and an element is
+    dropped when its coefficient reaches 0.
+    """
+    k = params.nilclass
+
+    @lru_cache(maxsize=None)
+    def term(tail):
+        s = len(tail)
+        tail = tuple(truncate_weight(v, k - s) for v in tail)
+        if 1 + sum(v.min_weight() for v in tail) > k:
+            return ()
+        if s == 1:
+            return ((tail[0], 1),)
+        v1, v2, *rest = tail
+        out = {}
+        for head, sign in ((v1, -1), (v2, -1), (mul(v1, v2), 1)):
+            for u, c in term((head, *rest)):
+                v = out.get(u, 0) + sign * c
+                if v:
+                    out[u] = v
+                else:
+                    out.pop(u, None)
+        return tuple(out.items())
+
+    pairs = [
+        (u, c * eta)
+        for tail, eta in terms
+        if eta and 1 + sum(v.min_weight() for v in tail) <= k
+        for u, c in term(tuple(tail))
+    ]
+    return GenInnerData(params, tuple(pairs))
+
+
+def mixed_terms(rng, params):
+    """One to three terms over a pool of three elements, so tails repeat
+    elements; each pool element is a pure exponent, pure derived or both."""
+    pool = []
+    for _ in range(3):
+        kind = rng.choice(["exp", "derived", "mixed"])
+        if kind == "derived":
+            pool.append(random_derived_element(rng, params))
+            continue
+        x = random_element(rng, params, max_len=4)
+        pool.append(x if kind == "mixed" else truncate_weight(x, 1))
+    longest = max(1, min(params.nilclass - 1, 4))
+    return [
+        (
+            tuple(rng.choice(pool) for _ in range(rng.randint(1, longest))),
+            rng.choice([-2, -1, 0, 1, 2]),
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+@pytest.mark.parametrize(
+    "rank, classes",
+    [(2, range(2, 12)), (3, range(2, 8)), (4, range(2, 7)), (5, range(2, 6))],
+    ids=["rank2", "rank3", "rank4", "rank5"],
+)
+def test_flatten_matches_the_element_recursion(rank, classes):
+    # Same exponents, lambdas and derived pair on arbitrary terms.  The
+    # first-occurrence order of the exponents may differ where two distinct
+    # Element products share an exponent vector (the reference keeps them
+    # apart); on the terms compose, invert and synthesize build it has not,
+    # which the caller test below checks pair for pair.
+    rng = random.Random(rank)
+    for k in classes:
+        params = GroupParams(rank, k)
+        for _ in range(8):
+            terms = mixed_terms(rng, params)
+            got, want = flatten(params, terms), flatten_reference(params, terms)
+            assert dict(got.pairs) == dict(want.pairs), (params, terms)
+
+
+def test_flatten_edge_cases_match_the_element_recursion_pair_for_pair():
+    p = GroupParams(3, 5)
+    a, b, c = (gen_element(p, i) for i in range(3))
+    t = derived_element(p, {(1, 0): 1, (2, 0, 1): -2})
+    t3 = derived_element(p, {(2, 1, 1): 1})
+    cases = {
+        "pure-derived first element": [((t, a), 2), ((t, b, c), -1), ((mul(a, t), b), 1)],
+        "pure-derived later element": [((a, t), 1), ((b, a, t), 3), ((a, mul(b, t)), -1)],
+        "E1 + E2 = 0": [((a, inverse(a)), 1), ((mul(a, b), inverse(mul(a, b)), c), -2)],
+        "eta = 0": [((a, b), 0)],
+        "dead past the class": [((a, b, c, a, b), 1), ((t3, t3), 1), ((a, t3, b), 2)],
+        "tails of length k - 1": [((a, b, c, a), 1), ((b, a, b, c), -1)],
+    }
+    for name, terms in cases.items():
+        assert flatten(p, terms) == flatten_reference(p, terms), name
+    assert flatten(p, cases["eta = 0"]).is_empty
+    assert flatten(p, cases["dead past the class"]).is_empty
+    p = GroupParams(2, 11)
+    tail = tuple(gen_element(p, i % 2) for i in range(10))
+    assert flatten(p, [(tail, 3)]) == flatten_reference(p, [(tail, 3)])
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 3), (2, 6), (2, 8), (3, 4), (3, 6), (4, 5), (5, 4)], ids=str
+)
+def test_callers_match_the_element_recursion_pair_for_pair(monkeypatch, shape):
+    # invert, compose and synthesize give the same data, pairs in order, as
+    # with the reference expansion in place of flatten
+    params = GroupParams(*shape)
+    rng = random.Random(f"flatten/{shape}")
+    for _ in range(4):
+        phi = random_gen_inner(rng, params, max_pairs=4)
+        if rng.random() < 0.5:
+            phi = GenInnerData(params, phi.pairs + ((random_derived_element(rng, params), 1),))
+        psi = random_gen_inner(rng, params)
+        spec = gen_inner_to_spec(phi)
+
+        def results():
+            return (
+                invert_gen_inner(phi),
+                compose_gen_inner(psi, phi),
+                synthesize_gen_inner(spec),
+            )
+
+        got = results()
+        with monkeypatch.context() as m:
+            m.setattr(autos, "flatten", flatten_reference)
+            m.setattr(normality, "flatten", flatten_reference)
+            assert got == results()
+        comp = compose_endo(gen_inner_to_spec(psi), spec)
+        assert gen_inner_to_spec(got[1]).images == comp.images
 
 
 def test_compose_gen_inner_examples():

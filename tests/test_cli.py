@@ -1,6 +1,9 @@
 import json
+import time
 
 import pytest
+
+import metanil.core as core
 
 from metanil.cli import main
 
@@ -84,6 +87,26 @@ def test_dense_abelianization_is_decided_quickly(capsys):
     code, out, err = run(capsys, *args, spec)
     assert code == 3 and out == ""
     assert "do not define an automorphism" in err
+
+
+@pytest.mark.parametrize("verb", ["synthesize", "is-inner"])
+def test_oversized_basis_is_refused_before_enumeration(capsys, monkeypatch, verb):
+    # (12,8) has 478 687 basics: the closed-form count refuses it with exit 3
+    # before a single layer basis is listed
+    def listed(*args):
+        raise AssertionError("a layer basis was enumerated")
+
+    monkeypatch.setattr(core, "_basics_of_weight", listed)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, verb, "--rank", "12", "--class", "8", '{"pairs":[{"u":"a b","lambda":1}]}'
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        f"domain error: {verb} at rank 12, class 8 would enumerate 478687 basic "
+        "commutators, over the limit of 20000\n"
+    )
 
 
 def test_nesting_limit(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import metanil
 from metanil.core import (
+    MAX_BASICS,
     Element,
     _mk,
     _power_differences,
@@ -14,6 +15,7 @@ from metanil.core import (
     _smul,
     _state,
     all_basics,
+    basis_size,
     collect,
     collect_text,
     commutator,
@@ -84,6 +86,16 @@ def test_all_basics_canonical_order():
     keys = [(len(s), s) for s in seqs]
     assert keys == sorted(keys)
     assert all(is_basic(s) for s in seqs)
+
+
+def test_basis_size_counts_without_enumerating():
+    for d in range(2, 6):
+        for k in range(2, 7):
+            assert basis_size(GroupParams(d, k)) == len(all_basics(GroupParams(d, k)))
+    # the largest shape the tests, CI and benchmark decide stays under the
+    # limit; the (12,8) of the CLI refusal test does not
+    assert basis_size(GroupParams(9, 6)) == 13014 <= MAX_BASICS
+    assert basis_size(GroupParams(12, 8)) == 478687 > MAX_BASICS
 
 
 # --- rewriting into the basis ----------------------------------------------------

@@ -15,10 +15,13 @@ N_E = conj_(a^E) - 1.  The pure-exponent bracket is expanded by
 [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz] on exponent tuples alone, and cached
 on them.  compose_gen_inner is this product, invert_gen_inner the finite
 series sum_r (-A)^r, and the solved bracket symbols of the decision are
-flattened the same way.  Data equality is not canonical for these maps, so
-the official equivalence everywhere is extensional (equal gen_inner_to_spec
-images); the stored pair list is only brought to a normal form that the
-bracket cannot distinguish from the input.
+flattened the same way.  A map is applied on derived vectors too: with
+x = A s and u = B t, every bracket is core.commutator's closed form
+[x, u] = [A, B] + N_B s - N_A t, and _defect sums them over the pairs into
+x^-1 f(x) with no Element built per bracket.  Data equality is not
+canonical for these maps, so the official equivalence everywhere is
+extensional (equal gen_inner_to_spec images); the stored pair list is only
+brought to a normal form that the bracket cannot distinguish from the input.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .core import (
     Basic,
     DVec,
     Element,
+    _comm_exp_parts,
     _conj_minus_one,
     _mk,
     _smul,
@@ -233,14 +237,41 @@ class GenInnerData:
         return GenInnerData(self.params, tuple((u, -lam) for u, lam in self.pairs))
 
 
-def apply_gen_inner(data: GenInnerData, x: Element) -> Element:
-    """x * prod [x, u_i]^lambda(i); all factors commute (they live in M')."""
-    if data.params != x.params:
-        raise DomainError("parameter mismatch between data and element")
+def _defect(data: GenInnerData, x: Element) -> DVec:
+    """x^-1 f(x) = prod [x, u_i]^lambda(i), as one derived vector.
+
+    With x = A s and u = B t (s, t derived), core.commutator's closed form
+
+        [x, u] = [A, B] + N_B s - N_A t,    N_E = conj_(a^E) - 1,
+
+    is a derived vector, and M' is abelian, so the brackets add with their
+    lambdas and no Element is built per bracket.
+    """
+    params = data.params
+    k = params.nilclass
+    s = x.dmap()
     total: DVec = {}
     for u, lam in data.pairs:
-        _vadd(total, commutator(x, u).dmap(), lam)
-    return mul(x, derived_element(data.params, total))
+        _vadd(total, dict(_comm_exp_parts(params, x.exp, u.exp)), lam)
+        if s:
+            _vadd(total, _conj_minus_one(s, u.exp, k), lam)
+        if u.derived:
+            _vadd(total, _conj_minus_one(u.dmap(), x.exp, k), -lam)
+    return total
+
+
+def apply_gen_inner(data: GenInnerData, x: Element) -> Element:
+    """x * prod [x, u_i]^lambda(i): x = A s goes to A (s + _defect(data, x)).
+
+    All brackets lie in M', so the product is a sum of derived vectors
+    sum_i lambda_i ([A, B_i] + N_B_i s - N_A t_i) (u_i = B_i t_i), added to
+    the derived part of x with no collection step.
+    """
+    if data.params != x.params:
+        raise DomainError("parameter mismatch between data and element")
+    out = x.dmap()
+    _vadd(out, _defect(data, x))
+    return _mk(data.params, x.exp, out)
 
 
 def gen_inner_to_spec(data: GenInnerData) -> AutoSpec:
@@ -269,12 +300,21 @@ def flatten(params: GroupParams, terms) -> GenInnerData:
     k = params.nilclass
     exp_pairs: dict[tuple[int, ...], int] = {}
     total: DVec = {}
+    # id(v) -> (v, v.min_weight()) for each tail element already checked;
+    # holding v keeps its id from being reused by a later fresh element
+    seen: dict[int, tuple[Element, int]] = {}
     for tail, eta in terms:
         if not tail:
             raise DomainError("a term needs a nonempty tail")
-        if any(v.params != params for v in tail):
-            raise DomainError("term parameters do not match")
-        if not eta or 1 + sum(v.min_weight() for v in tail) > k:
+        weight = 1
+        for v in tail:
+            hit = seen.get(id(v))
+            if hit is None:
+                if v.params != params:
+                    raise DomainError("term parameters do not match")
+                hit = seen[id(v)] = (v, v.min_weight())
+            weight += hit[1]
+        if not eta or weight > k:
             continue
         exps = tuple(v.exp for v in tail)
         pairs, derived = _flatten_term(params, exps)
@@ -366,8 +406,7 @@ def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
     params = phi.params
     k = params.nilclass
     gens = [gen_element(params, i) for i in range(params.rank)]
-    images = gen_inner_to_spec(phi).images
-    s = min(mul(inverse(a), img).min_weight() for a, img in zip(gens, images)) - 1
+    s = min(min(map(len, _defect(phi, a)), default=k + 1) for a in gens) - 1
     terms: list[tuple[tuple[Element, ...], int]] = []
     for r in range(1, (k - 1) // s + 1):
         rests = []
@@ -426,11 +465,9 @@ def gen_inner_from_json(obj: dict, params: GroupParams | None = None) -> GenInne
 # --- inner-ness ----------------------------------------------------------------
 
 
-def _conjugation_images(params: GroupParams, u: Element) -> list[Element]:
-    return [
-        mul(gen_element(params, i), commutator(gen_element(params, i), u))
-        for i in range(params.rank)
-    ]
+def _conjugation_images(params: GroupParams, u: Element) -> tuple[Element, ...]:
+    """Generator images of x -> x[x, u], the same map as the data ((u, 1),)."""
+    return gen_inner_to_spec(GenInnerData(params, ((u, 1),))).images
 
 
 def _step_unknowns(params: GroupParams, w: int) -> list[Element]:

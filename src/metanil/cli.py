@@ -174,24 +174,27 @@ def _verify_paper(args, params):
 _PAYLOAD = "JSON payload (inline, @file or -)"
 _ARG_HELP = {"spec": _PAYLOAD, "spec_g": _PAYLOAD, "spec_f": _PAYLOAD,
              "element": "word or element JSON"}
+_GROUP = (("--rank", dict(type=int, default=2, help="number of generators")),
+          ("--class", dict(dest="nilclass", type=int, default=3, help="nilpotency class")))
 _SAMPLING = (("--seed", dict(type=int, default=0)),
              ("--samples", dict(type=int, default=None)))
 _SUITE = ("--suite", dict(choices=sorted(SUITES) + ["all"], default="all"))
 
-# verb -> (help, positional arguments, handler, options beyond --rank/--class/--json);
-# a handler prints its result and returns an exit code, or None for success
+# verb -> (help, positional arguments, handler, options beyond --json); a
+# handler gets the group of --rank/--class (None for a verb without them),
+# prints its result and returns an exit code, or None for success
 VERBS = {
-    "nf": ("canonical form of a word", ("word",), _nf, ()),
-    "eq": ("decide equality of two words in the group", ("word1", "word2"), _eq, ()),
+    "nf": ("canonical form of a word", ("word",), _nf, _GROUP),
+    "eq": ("decide equality of two words in the group", ("word1", "word2"), _eq, _GROUP),
     "apply": ("apply an automorphism payload to an element", ("spec", "element"),
-              _apply, ()),
+              _apply, _GROUP),
     "compose": ("compose two automorphism payloads (g o f); prints JSON",
-                ("spec_g", "spec_f"), _compose, ()),
-    "invert": ("invert an IA spec or pair data; prints JSON", ("spec",), _invert, ()),
+                ("spec_g", "spec_f"), _compose, _GROUP),
+    "invert": ("invert an IA spec or pair data; prints JSON", ("spec",), _invert, _GROUP),
     "is-inner": ("decide whether an IA spec is a conjugation", ("spec",),
-                 _is_inner, ()),
+                 _is_inner, _GROUP),
     "synthesize": ("decide generalized-inner-ness and synthesize witness data",
-                   ("spec",), _synthesize, ()),
+                   ("spec",), _synthesize, _GROUP),
     "oracle-selftest": ("kernel audit and oracle agreement", (), _oracle_selftest,
                         _SAMPLING),
     "verify-paper": ("run a pinned verification suite", (), _verify_paper,
@@ -204,10 +207,6 @@ def build_parser() -> _ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for name, (help_text, positionals, handler, options) in VERBS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--rank", type=int, default=2, help="number of generators")
-        p.add_argument(
-            "--class", dest="nilclass", type=int, default=3, help="nilpotency class"
-        )
         p.add_argument("--json", action="store_true", help="machine-readable output")
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -226,7 +225,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args, GroupParams(args.rank, args.nilclass)) or EXIT_OK
+        params = GroupParams(args.rank, args.nilclass) if "rank" in args else None
+        return args.handler(args, params) or EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

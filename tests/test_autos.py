@@ -31,6 +31,7 @@ from metanil.autos import (
     spec_to_json,
 )
 from metanil.core import (
+    _vadd,
     collect_text,
     commutator,
     derived_element,
@@ -191,6 +192,58 @@ def test_apply_gen_inner_is_multiplicative():
         )
 
 
+def apply_gen_inner_reference(data, x):
+    """apply_gen_inner with one Element per bracket, multiplied back into x."""
+    total = {}
+    for u, lam in data.pairs:
+        _vadd(total, commutator(x, u).dmap(), lam)
+    return mul(x, derived_element(data.params, total))
+
+
+def data_with_derived_pair(rng, params):
+    """random_gen_inner data plus a derived pair, so it has both kinds."""
+    data = random_gen_inner(rng, params, max_pairs=4)
+    return GenInnerData(params, data.pairs + ((random_derived_element(rng, params), 1),))
+
+
+APPLY_SHAPES = [(2, 3), (2, 8), (3, 5), (3, 6), (4, 5), (5, 4)]
+
+
+@pytest.mark.parametrize("shape", APPLY_SHAPES, ids=str)
+def test_apply_gen_inner_matches_the_element_brackets(shape):
+    params = GroupParams(*shape)
+    rng = random.Random(f"apply/{shape}")
+    gens = [gen_element(params, i) for i in range(params.rank)]
+    for _ in range(4):
+        for data in (random_gen_inner(rng, params), data_with_derived_pair(rng, params)):
+            xs = gens + [
+                mul(random_element(rng, params), random_derived_element(rng, params))
+                for _ in range(3)
+            ]
+            for x in xs:
+                assert apply_gen_inner(data, x) == apply_gen_inner_reference(data, x)
+
+
+def defect_reference(data, x):
+    return mul(inverse(x), apply_gen_inner_reference(data, x)).dmap()
+
+
+@pytest.mark.parametrize("shape", APPLY_SHAPES, ids=str)
+def test_invert_and_synthesize_match_the_element_brackets(monkeypatch, shape):
+    # the same data, pairs in order, with every application of pair data
+    # (the series bound, both audits, gen_inner_to_spec) made bracket by bracket
+    params = GroupParams(*shape)
+    rng = random.Random(f"apply-callers/{shape}")
+    for _ in range(3):
+        for phi in (random_gen_inner(rng, params), data_with_derived_pair(rng, params)):
+            spec = gen_inner_to_spec(phi)
+            got = (invert_gen_inner(phi), synthesize_gen_inner(spec))
+            with monkeypatch.context() as m:
+                m.setattr(autos, "apply_gen_inner", apply_gen_inner_reference)
+                m.setattr(autos, "_defect", defect_reference)
+                assert got == (invert_gen_inner(phi), synthesize_gen_inner(spec))
+
+
 def test_gen_inner_to_spec_round_trip():
     assert gen_inner_to_spec(GenInnerData(P23)).is_identity
     rng = random.Random(6)
@@ -347,6 +400,43 @@ def test_flatten_edge_cases_match_the_element_recursion_pair_for_pair():
     p = GroupParams(2, 11)
     tail = tuple(gen_element(p, i % 2) for i in range(10))
     assert flatten(p, [(tail, 3)]) == flatten_reference(p, [(tail, 3)])
+
+
+def fresh(v):
+    """A new Element object equal to v."""
+    return type(v)(v.params, v.exp, v.derived)
+
+
+def test_flatten_takes_a_generator_of_fresh_elements():
+    # each term's elements are freed before the next is built, so a memo
+    # keyed by id alone would see reused ids with other weights and exponents
+    for shape in [(2, 6), (3, 5), (4, 4)]:
+        params = GroupParams(*shape)
+        rng = random.Random(f"fresh/{shape}")
+        terms = [t for _ in range(6) for t in mixed_terms(rng, params)]
+        want = flatten(params, terms)
+        got = flatten(params, ((tuple(fresh(v) for v in tail), eta) for tail, eta in terms))
+        assert got == want == flatten_reference(params, terms)
+
+
+def test_flatten_checks_every_element_and_prunes_as_before():
+    p = GroupParams(3, 5)
+    a, b = gen_element(p, 0), gen_element(p, 1)
+    t3 = derived_element(p, {(2, 1, 1): 1})
+    foreign = gen_element(GroupParams(3, 6), 0)
+    # a foreign element late in an eta = 0 term, after elements already seen
+    for terms in (
+        [((a, b), 1), ((a, b, foreign), 0)],
+        [((a, b), 0), ((b, a, a, foreign), 0)],
+        iter([((a, b), 1), ((b, foreign), 0)]),
+    ):
+        with pytest.raises(DomainError):
+            flatten(p, terms)
+    # dead terms share elements with live ones; the weights seen for an
+    # element in one term carry over to the next unchanged
+    terms = [((t3, a), 1), ((a, t3), 2), ((a, b), 1), ((t3, t3), 1), ((a, b, a, b), 1)]
+    assert flatten(p, terms) == flatten_reference(p, terms)
+    assert flatten(p, [((t3, a, b), 1), ((a, b, a, b, a), 1)]).is_empty
 
 
 @pytest.mark.parametrize(
@@ -569,6 +659,16 @@ def test_is_inner_round_trips_modulo_center():
         u2 = is_inner(spec)
         assert u2 is not None
         assert conjugation_spec(params, u2).images == spec.images
+
+
+def test_conjugation_images_are_the_pair_data_images():
+    # [x, A s] = [x, A][x, s]: x -> x[x, u] is the map of the data ((u, 1),)
+    rng = random.Random(19)
+    for params in (P23, P35, GroupParams(4, 4)):
+        for _ in range(5):
+            u = mul(random_element(rng, params), random_derived_element(rng, params))
+            images = autos._conjugation_images(params, u)
+            assert images == conjugation_spec(params, u).images
 
 
 def test_is_inner_refuses_the_iterated_bracket_map():

@@ -133,6 +133,10 @@ CASES = [
     _case("usage-missing-word", ["nf", *G23], usage=True),
     _case("usage-bad-rank", ["nf", "--rank", "two", "a"], usage=True),
     _case("usage-unknown-suite", ["verify-paper", "--suite", "nonsense"], usage=True),
+    _case("usage-oracle-selftest-rank-class",
+          ["oracle-selftest", "--rank", "12", "--class", "8"], usage=True),
+    _case("usage-verify-paper-rank-class",
+          ["verify-paper", "--suite", "class2", "--rank", "3", "--class", "4"], usage=True),
 ]
 
 

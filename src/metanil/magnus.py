@@ -61,10 +61,22 @@ class _Basis:
         )
 
 
+# A polynomial basis of more monomials than this, C(nvars + cap, nvars), is
+# refused before it is enumerated: the oracle at rank d and class k builds
+# bases of C(d + k, d) and C(d + k - 1, d) monomials.
+MAX_BASIS_MONOMIALS = 20_000
+
+
 @lru_cache(maxsize=64)
 def _basis(nvars: int, cap: int) -> _Basis:
     if nvars < 1 or cap < 0:
         raise DomainError(f"no polynomial basis for {nvars} variables and cap {cap}")
+    size = comb(nvars + cap, nvars)
+    if size > MAX_BASIS_MONOMIALS:
+        raise DomainError(
+            f"a polynomial basis of {size} monomials ({nvars} variables, cap {cap}) "
+            f"exceeds {MAX_BASIS_MONOMIALS}"
+        )
     return _Basis(nvars, cap)
 
 
@@ -305,6 +317,7 @@ def oracle_equal(w1: Word, w2: Word, params: GroupParams) -> bool:
 
     One pass checks every generator index and the exponent sums, the degree-1
     part of s.  The map is a homomorphism, so u x v = u y v exactly when x = y.
+    Identical words are equal before any basis is built.
     """
     a, b, d = w1.letters, w2.letters, params.rank
     sums = [0] * d
@@ -318,7 +331,10 @@ def oracle_equal(w1: Word, w2: Word, params: GroupParams) -> bool:
     n = min(len(a), len(b))
     i = next((i for i in range(n) if a[i] != b[i]), n)
     j = next((j for j in range(n - i) if a[-1 - j] != b[-1 - j]), n - i)
-    x, y = (Word(w[i : len(w) - j]) for w in (a, b))
+    # a slice of a freely reduced word is freely reduced
+    x, y = (Word._from_reduced(w[i : len(w) - j]) for w in (a, b))
+    if x.is_identity and y.is_identity:
+        return True
     return magnus_of_word(x, params) == magnus_of_word(y, params)
 
 

@@ -4,6 +4,11 @@ This is the raw input layer.  One parser evaluates word text with the
 operations it is handed: :func:`parse_word` passes those of :class:`Word`
 (freely reduced (generator, exponent) syllables, the Magnus oracle's
 input), :func:`metanil.core.collect_text` those of the group.
+
+A Word is freely reduced once, when it is built from untrusted letters.
+Products, inverses, powers and brackets of Words keep that invariant
+without re-reducing: a product cancels and merges syllables only at the
+junction of its two operands.
 """
 
 from __future__ import annotations
@@ -74,21 +79,43 @@ MAX_WORD_SYLLABLES = 100_000
 
 @dataclass(frozen=True)
 class Word:
-    """Freely reduced word, stored as (generator index, nonzero exponent) syllables."""
+    """Freely reduced word, stored as (generator index, nonzero exponent) syllables.
+
+    Invariant: no exponent is zero and no two neighbouring syllables share a
+    generator.  ``Word(letters)`` establishes it by reducing the letters it is
+    given; every operation below builds its result from operands that already
+    hold it, through ``_from_reduced``, and never reduces a whole word again.
+    """
 
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "letters", _reduce(self.letters))
 
+    @classmethod
+    def _from_reduced(cls, letters: tuple[tuple[int, int], ...]) -> "Word":
+        """A Word of `letters`, which must already be freely reduced (not checked)."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __mul__(self, other: "Word") -> "Word":
-        n = len(self.letters) + len(other.letters)
+        a, b = self.letters, other.letters
+        n = len(a) + len(b)
         if n > MAX_WORD_SYLLABLES:
             raise DomainError(f"a Word product of {n} syllables exceeds {MAX_WORD_SYLLABLES}")
-        return Word(self.letters + other.letters)
+        # cancel inverse syllables across the junction, then merge the two
+        # boundary syllables if they share a generator
+        i, m, end = 0, min(len(a), len(b)), len(a) - 1
+        while i < m and a[end - i][0] == b[i][0]:
+            e = a[end - i][1] + b[i][1]
+            if e:
+                return Word._from_reduced(a[: end - i] + ((b[i][0], e),) + b[i + 1 :])
+            i += 1
+        return Word._from_reduced(a[: len(a) - i] + b[i:])
 
     def inv(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word._from_reduced(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -148,7 +175,11 @@ _MAX_NESTING = 200
 WordOps = namedtuple("WordOps", "identity generator product power bracket")
 
 _WORD_OPS = WordOps(
-    Word, lambda i: Word(((i, 1),)), Word.__mul__, Word.__pow__, partial(reduce, commutator_word)
+    Word,
+    lambda i: Word._from_reduced(((i, 1),)),
+    Word.__mul__,
+    Word.__pow__,
+    partial(reduce, commutator_word),
 )
 
 

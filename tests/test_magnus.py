@@ -6,6 +6,7 @@ import pytest
 
 from metanil.core import binom, collect, enumerate_basics
 from metanil.magnus import (
+    MAX_BASIS_MONOMIALS,
     SelfCheckReport,
     TruncPoly,
     _gen_power,
@@ -354,3 +355,38 @@ def test_oracle_equal_folds_only_where_the_words_differ(monkeypatch):
     folded.clear()
     assert not oracle_equal(parse_word("a b c", params), parse_word("a c", params), params)
     assert folded == []
+
+
+# --- basis size limit and identical words ------------------------------------
+
+
+def test_oracle_refuses_an_oversized_basis_before_enumerating(monkeypatch):
+    import metanil.magnus as magnus
+
+    def enumerate_basis(nvars, cap):
+        raise AssertionError(f"basis ({nvars}, {cap}) enumerated")
+
+    params = GroupParams(12, 12)  # C(24, 12) = 2 704 156 monomials
+    w1, w2 = parse_word("a b", params), parse_word("b a", params)
+    monkeypatch.setattr(magnus, "_Basis", enumerate_basis)
+    with pytest.raises(DomainError, match=f"2704156 monomials .* exceeds {MAX_BASIS_MONOMIALS}"):
+        oracle_equal(w1, w2, params)
+    with pytest.raises(DomainError, match="exceeds"):
+        TruncPoly(12, 12)
+    monkeypatch.undo()
+    # the largest shapes the tests and the CI fold stay under the limit
+    for d, k in [(4, 6), (3, 8), (2, 11)]:
+        p = GroupParams(d, k)
+        assert not oracle_equal(parse_word("a b", p), parse_word("b a", p), p)
+
+
+def test_oracle_equal_builds_no_basis_for_identical_words(monkeypatch):
+    import metanil.magnus as magnus
+
+    def no_basis(nvars, cap):
+        raise AssertionError(f"basis ({nvars}, {cap}) built for identical words")
+
+    monkeypatch.setattr(magnus, "_basis", no_basis)
+    for d, k, text in [(12, 12, "a"), (8, 8, "(a b c^-1)^40 [d,e,f]"), (3, 5, ""), (2, 3, "1")]:
+        p = GroupParams(d, k)
+        assert oracle_equal(parse_word(text, p), parse_word(text, p), p) is True

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -9,6 +10,7 @@ from metanil.words import (
     GroupParams,
     ParseError,
     Word,
+    _reduce,
     commutator_word,
     generator_name,
     parse_word,
@@ -230,3 +232,125 @@ def test_word_growth_fails_fast():
     # the group evaluation builds no Word, so it has no such limit
     assert collect_text(deep, p).is_identity
     assert collect_text("(a b c)^1000000000000000000", p).exp == (10**18,) * 3
+
+
+def test_word_product_limit_counts_operands_not_result():
+    # the operands hold 200 000 syllables although the product is the identity
+    p = GroupParams(3, 5)
+    with pytest.raises(DomainError, match=r"Word product .* exceeds 100000"):
+        parse_word("(a b)^50000 (b^-1 a^-1)^50000", p)
+
+
+# --- a Word is reduced once; products merge only at the junction --------------
+#
+# The reference expands every letter of an operation's operands and reduces
+# the concatenation once with _reduce.
+
+
+def _flat(*words):
+    return tuple(s for w in words for s in w.letters)
+
+
+def _ref_inv(letters):
+    return tuple((g, -e) for g, e in reversed(letters))
+
+
+def _ref_pow(w, n):
+    letters = w.letters if n >= 0 else _ref_inv(w.letters)
+    return _reduce(letters * abs(n))
+
+
+def _ref_comm(x, y):
+    return _reduce(_ref_inv(x.letters) + _ref_inv(y.letters) + x.letters + y.letters)
+
+
+def _random_word(rng, d, max_len=8, max_exp=3):
+    letters = tuple(
+        (rng.randrange(d), rng.choice([e for e in range(-max_exp, max_exp + 1) if e]))
+        for _ in range(rng.randrange(max_len + 1))
+    )
+    return Word(letters)
+
+
+def _junction_pair(rng, d):
+    """x and y whose product cancels or merges across the junction.
+
+    y starts with the inverse of a suffix of x (partial or full
+    cancellation), then half the time with x's next syllable's generator
+    at another exponent (a merge to a nonzero exponent).
+    """
+    x = _random_word(rng, d)
+    cut = rng.randrange(len(x.letters) + 1)
+    head = _ref_inv(x.letters[cut:])
+    if cut and rng.random() < 0.5:
+        g, e = x.letters[cut - 1]
+        head += ((g, rng.choice([f for f in (-2 * e, -e + 1, e, 1, -1) if f and f != -e])),)
+    return x, Word(head + _random_word(rng, d).letters)
+
+
+def test_junction_cancellation_and_merge_examples():
+    p = GroupParams(3, 3)
+    x = parse_word("c a b^2 a^-1", p)
+    # partial cancellation, then a merge to a nonzero exponent
+    assert (x * parse_word("a b^-2 a^2 c", p)).letters == ((2, 1), (0, 3), (2, 1))
+    # partial cancellation, then plain concatenation
+    assert (x * parse_word("a b^-2 c", p)).letters == ((2, 1), (0, 1), (2, 1))
+    # full cancellation of either operand, and of both
+    assert (x * parse_word("a b^-2 a^-1 c^-1 b", p)).letters == ((1, 1),)
+    assert (parse_word("b", p) * x.inv() * x).letters == ((1, 1),)
+    assert (x * x.inv()).is_identity and (x.inv() * x).is_identity
+    # a base that is not cyclically reduced cancels at every squaring
+    assert (parse_word("a b a^-1", p) ** 6).letters == ((0, 1), (1, 6), (0, -1))
+    assert (parse_word("a b a^-1", p) ** -5).letters == ((0, 1), (1, -5), (0, -1))
+    assert (parse_word("a^2 b c a^-1", p) ** 3).letters == (
+        (0, 2), (1, 1), (2, 1), (0, 1), (1, 1), (2, 1), (0, 1), (1, 1), (2, 1), (0, -1)
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_word_operations_match_one_reduction(d):
+    rng = random.Random(700 + d)
+    for t in range(400):
+        x, y = _junction_pair(rng, d) if t % 2 else (_random_word(rng, d), _random_word(rng, d))
+        if t % 5 == 0:  # a conjugate g w g^-1: not cyclically reduced
+            g = _random_word(rng, d, max_len=3)
+            x = Word(g.letters + x.letters + _ref_inv(g.letters))
+        assert (x * y).letters == _reduce(_flat(x, y)), (x, y)
+        assert (y * x).letters == _reduce(_flat(y, x)), (y, x)
+        assert x.inv().letters == _reduce(_ref_inv(x.letters))
+        assert (x * y).inv() == y.inv() * x.inv()
+        for n in range(-6, 7):
+            assert (x ** n).letters == _ref_pow(x, n), (x, n)
+        assert commutator_word(x, y).letters == _ref_comm(x, y), (x, y)
+        z = _random_word(rng, d)
+        assert (x * y * z).letters == (x * (y * z)).letters == _reduce(_flat(x, y, z))
+
+
+def _ref_text(rng, d, depth=0):
+    """Word text of powers and brackets, and its letters expanded without reduction."""
+    if depth >= 2 or rng.random() < 0.4:
+        w = _random_word(rng, d, max_len=4)
+        return f"({w})", w.letters
+    r = rng.random()
+    if r < 0.4:
+        text, letters = _ref_text(rng, d, depth + 1)
+        n = rng.randint(-6, 6)
+        return f"({text})^{n}", (letters if n >= 0 else _ref_inv(letters)) * abs(n)
+    if r < 0.75:
+        parts = [_ref_text(rng, d, depth + 1) for _ in range(rng.randint(2, 3))]
+
+        def comm(x, y):
+            return _ref_inv(x) + _ref_inv(y) + x + y
+
+        return "[" + ", ".join(t for t, _ in parts) + "]", reduce(comm, (l for _, l in parts))
+    parts = [_ref_text(rng, d, depth + 1) for _ in range(rng.randint(2, 3))]
+    return "(" + " ".join(t for t, _ in parts) + ")", sum((l for _, l in parts), ())
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 3)])
+def test_parse_word_matches_one_reduction_of_the_expanded_text(d, k):
+    rng = random.Random(40 + d)
+    p = GroupParams(d, k)
+    for _ in range(300):
+        text, letters = _ref_text(rng, d)
+        assert parse_word(text, p).letters == _reduce(letters), text

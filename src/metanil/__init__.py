@@ -107,7 +107,7 @@ def cache_info() -> dict:
 
 
 def clear_caches() -> None:
-    """Empty every metanil cache, the peeled layer systems included.
+    """Empty every metanil cache, the layer systems of the decision included.
 
     The caches only save repeated work: results are the same cold or warm.
     A long-lived process can call this to release what they hold.

@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from .core import (
     Basic,
@@ -41,12 +41,10 @@ from .core import (
     _mk,
     _smul,
     _vadd,
-    commutator,
     derived_element,
     element_from_json,
     element_to_json,
     enumerate_basics,
-    gamma_layer,
     gen_element,
     identity,
     inverse,
@@ -57,7 +55,6 @@ from .core import (
     require_enumerable,
     truncate_weight,
 )
-from .intsolve import PeeledSystem, peel, solve_peeled
 from .words import DomainError, EngineFault, GroupParams
 
 
@@ -470,65 +467,55 @@ def _conjugation_images(params: GroupParams, u: Element) -> tuple[Element, ...]:
     return gen_inner_to_spec(GenInnerData(params, ((u, 1),))).images
 
 
-def _step_unknowns(params: GroupParams, w: int) -> list[Element]:
-    """The unknowns of step w of the conjugator search: the generators at
-    w = 1, the weight-w basics above."""
-    if w == 1:
-        return [gen_element(params, i) for i in range(params.rank)]
-    return [derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)]
+def _read_off(
+    params: GroupParams, w: int, defects: list[DVec]
+) -> tuple[Element, tuple[tuple[int, Basic], ...]]:
+    """Step w's factor of the conjugator, and the (generator, basic) defect
+    coordinates its coefficients are read from.
 
-
-@lru_cache(maxsize=64)
-def _inner_system(d: int, w: int) -> PeeledSystem:
-    """The peeled matrix solved at step w of the conjugator search at rank d.
-
-    Block i (one row per weight-(w+1) basic) of the column for the unknown v
-    holds the coordinates of [a_i, v].  It is built and peeled once per (d, w).
+    Block d-1 of step w is a signed permutation: [a_(d-1), v] = -(v, d-1)
+    for a weight-w basic v, and at w = 1, [a_(d-1), a_j] = (d-1, j) for
+    j < d-1 and [a_0, a_(d-1)] = -(d-1, 0).  So each coefficient is forced
+    by one coordinate of the weight-(w+1) defect.
     """
-    params = GroupParams(d, w + 1)
-    row_of = {key: r for r, key in enumerate(product(range(d), enumerate_basics(params, w + 1)))}
-    gens = _step_unknowns(params, 1)
-    columns = [
-        {row_of[i, seq]: x for i, g in enumerate(gens) for seq, x in commutator(g, v).derived}
-        for v in _step_unknowns(params, w)
-    ]
-    return peel(columns, len(row_of))
+    d = params.rank
+    if w == 1:
+        read = tuple((d - 1, (d - 1, j)) for j in range(d - 1)) + ((0, (d - 1, 0)),)
+        exp = [defects[g].get(seq, 0) for g, seq in read]
+        exp[-1] = -exp[-1]
+        return _mk(params, exp, {}), read
+    read = tuple((d - 1, v + (d - 1,)) for v in enumerate_basics(params, w))
+    return derived_element(params, {seq[:-1]: -defects[g].get(seq, 0) for g, seq in read}), read
 
 
 def is_inner(f: AutoSpec) -> Element | None:
     """A conjugating element realizing f, or None.
 
-    Layer-by-layer search for u with f = conjugation by u: step w solves for
-    the weight-w part v of u, so that [a_i, v] cancels the weight-(w+1) layer
-    of the defect of a_i, for every generator a_i at once.  The answer is
-    unique only up to the center, so the returned element is just the first
-    solution in canonical coordinate order.
+    Layer-by-layer search for u with f = conjugation by u: step w finds the
+    weight-w part v of u, so that [a_i, v] cancels the weight-(w+1) layer
+    of the defect of a_i, for every generator a_i at once.  Each coefficient
+    of v is read off one defect coordinate (_read_off), so it is forced: the
+    answer is unique modulo the center, and a residual of the layer anywhere
+    else means f is not inner.  A read coordinate left nonzero is an engine
+    fault.
     """
     if not is_ia(f):
         raise DomainError("only IA specs can be inner here")
     params = f.params
     require_enumerable(params, "is-inner")
     d, k = params.rank, params.nilclass
-    u = identity(params)
-    for w in range(1, k):
+    u, read = identity(params), ()
+    for w in range(1, k + 1):
         current = _conjugation_images(params, u)
-        defects = [mul(inverse(current[i]), f.images[i]) for i in range(d)]
-        if all(x.is_identity for x in defects):
-            break
-        layer = w + 1
-        if any(x.min_weight() < layer for x in defects):
-            # the solves so far should have cleared every layer below this one
-            raise EngineFault(f"conjugator search left a defect below layer {layer}")
-        b = [c for x in defects for c in gamma_layer(x, layer)]
-        x, _ = solve_peeled(_inner_system(d, w), b)
-        if x is None:
+        defects = [mul(inverse(current[i]), f.images[i]).dmap() for i in range(d)]
+        if any(defects[g].get(seq) for g, seq in read):
+            raise EngineFault(f"conjugator search leaves a read coordinate of layer {w} nonzero")
+        if any(len(seq) <= w for dm in defects for seq in dm):
             return None
-        for v, c in zip(_step_unknowns(params, w), x):
-            if c:
-                u = mul(u, power(v, c))
-    final = _conjugation_images(params, u)
-    if any(final[i] != f.images[i] for i in range(d)):
-        raise EngineFault("conjugator search fails to reproduce the automorphism")
+        if not any(defects):
+            break
+        factor, read = _read_off(params, w, defects)
+        u = mul(u, factor)
     return u
 
 

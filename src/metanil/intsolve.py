@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, lattice solving, peeled solves.
+"""Exact integer linear algebra: Smith normal form, lattice solving, triangular solves.
 
 Matrices are plain lists of lists of Python ints, so coefficients can grow
 without bound.  The solver returns a particular solution together with a
@@ -13,16 +13,16 @@ elimination.  (Kannan and Bachem, SIAM J. Comput. 1979, give a
 polynomial-time variant with bounded entry growth; it is not the one that
 runs here.)
 
-The decision engine's systems need no Smith form: their columns ``peel`` to
-±1 pivots, and ``solve_peeled`` solves by substitution, refusing exactly.
+The decision engine's systems need no Smith form: each comes with ±1 pivots
+in a triangular order (named in closed form by ``normality._layer_system``),
+and ``solve_peeled`` solves by substitution, refusing exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
-from .words import DomainError, EngineFault
+from .words import DomainError
 
 Matrix = list[list[int]]
 
@@ -107,47 +107,15 @@ class InfeasibilityCertificate:
         return {"row": list(self.row), "modulus": self.modulus, "value": self.value}
 
 
-# A's rows as {column: value} dicts, the (row, column) pivots in peel order, the other rows
+# A's rows as {column: value} dicts, the (row, column) ±1 pivots in a triangular order
+# (each pivot row's other entries lie in earlier pivot columns), the other rows
 PeeledSystem = tuple[tuple[dict[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...]]
-
-
-def peel(columns: list[dict[int, int]], m: int) -> PeeledSystem:
-    """Singleton peeling of the m-row matrix A with the given sparse columns.
-
-    Repeatedly take the least-indexed row with one live entry, where that
-    entry is ±1, and fix that entry's column.  Once every column is fixed, A
-    is unit lower triangular on its pivot rows: its columns span a direct
-    summand, so A x = b is solvable over Z whenever it is over Q.  A stall is
-    an engine fault, never a verdict.
-    """
-    rows: list[dict[int, int]] = [{} for _ in range(m)]
-    for c, col in enumerate(columns):
-        for r, x in col.items():
-            rows[r][c] = x
-    live = [len(row) for row in rows]
-    heap = [r for r in range(m) if live[r] == 1]  # ascending, so already a heap
-    pivots: dict[int, int] = {}  # column -> row, in peel order
-    while heap:
-        r = heappop(heap)
-        c = next((c for c in rows[r] if c not in pivots), None)
-        if c is None or rows[r][c] not in (1, -1):
-            continue  # emptied since, or a non-unit entry that another row must fix
-        pivots[c] = r
-        for r2 in columns[c]:
-            live[r2] -= 1
-            if live[r2] == 1:
-                heappush(heap, r2)
-    if len(pivots) < len(columns):
-        raise EngineFault(f"peeling stalls at {len(pivots)} of {len(columns)} columns")
-    pivot_rows = set(pivots.values())
-    free = tuple(r for r in range(m) if r not in pivot_rows)
-    return tuple(rows), tuple((r, c) for c, r in pivots.items()), free
 
 
 def solve_peeled(
     system: PeeledSystem, b: list[int]
 ) -> tuple[list[int] | None, InfeasibilityCertificate | None]:
-    """The unique solution of A x = b for a peeled A, or an exact certificate.
+    """The unique solution of A x = b for a triangular PeeledSystem, or an exact certificate.
 
     Back-substitution along the pivot rows costs the nonzeros of A.  The
     first other row r left with a residual gives u = e_r - sum_p y_p e_(r_p),

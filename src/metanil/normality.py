@@ -14,11 +14,49 @@ an integer sum of symbol maps ([x, A s] = [x, s][x, A] for s in M', the
 binomial expansion of [x, a^e], and the metabelian Jacobi identity, whose
 coefficients for [a_j, c] with c in M' do not depend on j).  So each layer
 is solved from f's own coordinates.  Matching is one coupled integer
-linear system over all generators at once, built and peeled once per
-(rank, layer).  Its columns peel to ±1 pivots, so infeasibility comes back
-as an exact certificate (modulus 0), and by the independence of the
-rewritten symbols (checked on the Smith form by delta_rewrite_injective)
-feasibility is equivalent to the defect being generalized inner.
+linear system over all generators at once, built once per (rank, layer):
+column (i, D) holds, in block s, the rewrite of [a_s, a_i, D] (Lemma 3.2),
+and row (s, b) is the coordinate of the basic b in block s.
+
+Named pivots.  Let m be the least support index of D (m = d at w = 2), T
+the indices of D in ascending order, and T_x the same with one m replaced
+by x.  For s != i, _rewrite sends [a_s, a_i, D] to
+
+    R1  i <= m:          ±(max(i, s), min(i, s)) T   (+ when i < s)
+    R2  i > m, s <= m:   -(i, s) T
+    R3  i > m, s > m:    -(i, m) T_s + (s, m) T_i
+
+(only R1 at w = 2).  Column (i, D) is pivoted on the row
+
+    case 1, i <= m:  (j, (max(i, j), min(i, j)) T), j = d-1, or d-2 if i = d-1;
+    case 2, i > m:   (m, (i, m) T),
+
+whose entry is ±1 by R1 and by R2 with s = m.
+
+ - A case-2 row, (m, (i, m) T), is reached by no other column.  In block
+   m, R1 gives (m, i') T', headed by m < i, or for i' > m, (i', m) T' with
+   m' >= i' > m, so T' != T; R2 gives (i', m) T', the row only for
+   (i', D') = (i, D); R3 gives (i', m') T'' with m' < m, or (m, m') T''.
+ - A case-1 row in block d-1, (d-1, i) T, is reached by R1 only from
+   (i, D) itself, never by R2 (it needs d-1 <= m' < i'), and by R3 only
+   through (d-1, m') T'_i', from columns with i' > m', all of case 2.
+ - The case-1 row of i = d-1 is (d-2, (d-1, d-2) T) with T all d-1.  In
+   block d-2, R1 reaches it only from (d-1, D) itself; R2 needs m' = d-2,
+   so T' starts with d-2; R3 gives (i', m') T'' with m' < d-2, or
+   (d-2, m') T''.
+ - The rows are distinct.  A case-2 row lies in a block m <= d-2 and its
+   tail starts with m; a case-1 row lies in block d-1, or in block d-2 with
+   a tail of d-1's.  Within a case the row gives back (i, D).
+
+So with the case-2 columns first and the case-1 columns after them, each
+pivot row's other entries lie in earlier pivot columns: the pivot block is
+unit lower triangular.  The columns span a direct summand, A x = b is
+solvable over Z exactly when it is over Q, and an infeasible layer comes
+back as an exact certificate (modulus 0).  _layer_system checks all of
+this on every system it builds and raises EngineFault if it fails.  Full
+column rank is the independence of the rewritten symbols (certified again
+on the Smith form by delta_rewrite_injective), so feasibility is
+equivalent to the defect being generalized inner.
 """
 
 from __future__ import annotations
@@ -50,7 +88,7 @@ from .core import (
     power,
     require_enumerable,
 )
-from .intsolve import PeeledSystem, integer_solve, peel, smith_normal_form, solve_peeled
+from .intsolve import PeeledSystem, integer_solve, smith_normal_form, solve_peeled
 from .words import DomainError, EngineFault, GroupParams
 
 Delta = tuple[int, ...]
@@ -265,22 +303,45 @@ class NotGeneralizedInner:
         }
 
 
+def _pivot(i: int, delta: Delta, d: int) -> tuple[bool, int, tuple[int, ...]]:
+    """Column (i, D)'s case (True for case 2) and named pivot row (generator, basic)."""
+    m = delta_min(delta) if any(delta) else d
+    if i > m:
+        return True, m, (i, m) + _delta_tail(delta)
+    j = d - 2 if i == d - 1 else d - 1
+    return False, j, (max(i, j), min(i, j)) + _delta_tail(delta)
+
+
 @lru_cache(maxsize=64)
 def _layer_system(d: int, w: int) -> tuple[PeeledSystem, tuple[tuple[int, Delta], ...]]:
-    """The peeled weight-w matching system at rank d and its (i, D) columns.
+    """The weight-w matching system at rank d, on its named pivots, and its (i, D) columns.
 
     Block j (one row per weight-w basic) of column (i, D) holds the
-    coordinates of [a_j, a_i, D], rewritten by delta_basis_rewrite.  It
-    depends only on (d, w), so each layer is built and peeled once.
+    coordinates of [a_j, a_i, D], rewritten by delta_basis_rewrite.  Each
+    column is pivoted on the row the module docstring names, case-2 columns
+    first.  A pivot that is not ±1 or an entry off the triangle is an engine
+    fault; so is a pivot row named twice, as the earlier of its two columns
+    then sees the later one.  It depends only on (d, w), so each layer is
+    built once.
     """
     params = GroupParams(d, w)
     row_of = {key: r for r, key in enumerate(product(range(d), enumerate_basics(params, w)))}
     cols = tuple((i, delta) for i in range(d) for delta in enumerate_deltas(d, w - 2))
-    columns = [
-        {row_of[j, seq]: x for j in range(d) for seq, x in _rewrite({c: 1}, j, params).items()}
-        for c in cols
-    ]
-    return peel(columns, len(row_of)), cols
+    rows: list[dict[int, int]] = [{} for _ in row_of]
+    for c, col in enumerate(cols):
+        for j in range(d):
+            for seq, x in _rewrite({col: 1}, j, params).items():
+                rows[row_of[j, seq]][c] = x
+    named = [_pivot(i, delta, d) for i, delta in cols]
+    order = sorted(range(len(cols)), key=lambda c: not named[c][0])  # case 2 first
+    pivots = tuple((row_of[named[c][1:]], c) for c in order)
+    fixed: set[int] = set()
+    for r, c in pivots:
+        if rows[r].get(c) not in (1, -1) or set(rows[r]) - fixed != {c}:
+            raise EngineFault(f"layer system ({d}, {w}): column {cols[c]} has no unit pivot")
+        fixed.add(c)
+    free = tuple(sorted(set(range(len(rows))) - {r for r, _ in pivots}))
+    return (tuple(rows), pivots, free), cols
 
 
 def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:

@@ -46,7 +46,7 @@ from metanil.core import (
     reduce_class,
     truncate_weight,
 )
-from metanil.intsolve import peel
+from metanil.intsolve import integer_solve
 from metanil.normality import synthesize_gen_inner
 from metanil.verify import (
     golden_ia_triple,
@@ -677,40 +677,85 @@ def test_is_inner_refuses_the_iterated_bracket_map():
     assert is_inner(spec) is None
 
 
-def test_inner_systems_are_the_element_built_matrices():
-    # each step's matrix is built once at class w + 1 and read at every class
-    for params in (GroupParams(2, 6), P35, GroupParams(4, 4)):
-        d, k = params.rank, params.nilclass
-        gens = [gen_element(params, i) for i in range(d)]
-        for w in range(1, k):
-            unknowns = gens if w == 1 else [
-                derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)
-            ]
-            built = tuple(
-                row
-                for g in gens
-                for row in zip(*(gamma_layer(commutator(g, v), w + 1) for v in unknowns))
-            )
-            columns = [{r: x for r, x in enumerate(col) if x} for col in zip(*built)]
-            assert autos._inner_system(d, w) == peel(columns, len(built))
+def reference_is_inner(f):
+    """The conjugator search on element-built step matrices, solved by integer_solve.
+
+    Step w's column for the unknown v (a generator at w = 1, a weight-w
+    basic above) holds, in block i, the weight-(w+1) coordinates of [a_i, v].
+    """
+    params = f.params
+    d, k = params.rank, params.nilclass
+    gens = [gen_element(params, i) for i in range(d)]
+    u = identity(params)
+    for w in range(1, k):
+        current = conjugation_spec(params, u).images
+        defects = [mul(inverse(x), y) for x, y in zip(current, f.images)]
+        if all(x.is_identity for x in defects):
+            break
+        unknowns = gens if w == 1 else [
+            derived_element(params, {seq: 1}) for seq in enumerate_basics(params, w)
+        ]
+        a = [
+            list(row)
+            for g in gens
+            for row in zip(*(gamma_layer(commutator(g, v), w + 1) for v in unknowns))
+        ]
+        solution = integer_solve(a, [c for x in defects for c in gamma_layer(x, w + 1)])
+        if solution is None:
+            return None
+        x, kernel = solution
+        assert not kernel  # the coefficients are forced
+        for v, c in zip(unknowns, x):
+            if c:
+                u = mul(u, power(v, c))
+    assert conjugation_spec(params, u).images == f.images
+    return u
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (2, 6), (3, 3), (3, 5), (4, 4), (5, 3)])
+def test_is_inner_matches_the_element_built_search(d, k):
+    # conjugations, conjugations moved by one basic (inner or not, depending
+    # on the basic), and random pair-data maps (mostly not inner)
+    rng = random.Random(100 * d + k)
+    params = GroupParams(d, k)
+    verdicts = []
+    for n in range(12):
+        u = mul(random_element(rng, params), random_derived_element(rng, params))
+        spec = conjugation_spec(params, u)
+        if n % 3 == 1:
+            j, w = rng.randrange(d), rng.randrange(2, k + 1)
+            move = derived_element(params, {rng.choice(enumerate_basics(params, w)): 1})
+            images = list(spec.images)
+            images[j] = mul(images[j], move)
+            spec = AutoSpec(params, tuple(images))
+        elif n % 3 == 2:
+            spec = gen_inner_to_spec(random_gen_inner(rng, params))
+        got = is_inner(spec)
+        assert got == reference_is_inner(spec)
+        verdicts.append(got is None)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_warm_is_inner_builds_no_matrix(monkeypatch):
+    # the coefficients are read off the defects, so neither a cold nor a warm
+    # search solves a linear system, and the two agree
+    import metanil.intsolve as intsolve
+
+    def solved(*args):
+        raise AssertionError("the conjugator search solved a linear system")
+
+    for name in ("smith_normal_form", "integer_solve_explain", "solve_peeled"):
+        monkeypatch.setattr(intsolve, name, solved)
     rng = random.Random(18)
-    clear_caches()
     specs = []
     for params in (P23, P35, GroupParams(4, 4)):
         for _ in range(3):
             specs.append(conjugation_spec(params, random_element(rng, params)))
         specs.append(gen_inner_to_spec(flatten(params, [((gen_element(params, 0),) * 2, 1)])))
+    clear_caches()
     cold = [is_inner(spec) for spec in specs]
     # three conjugations and one refusal per shape
     assert [u is None for u in cold] == [False, False, False, True] * 3
-
-    def rebuilt(*args):
-        raise AssertionError("each conjugator-search system is built once")
-
-    monkeypatch.setattr(autos, "peel", rebuilt)
     assert [is_inner(spec) for spec in specs] == cold
 
 

@@ -248,19 +248,18 @@ def test_failing_report_exits_4(capsys):
 
 
 def test_engine_fault_exits_5(capsys, monkeypatch):
-    # an off-by-one layer solve trips the conjugator search's own check: an
+    # an off-by-one read-off trips the conjugator search's own check: an
     # internal error with its own exit code, not a traceback or a verdict
     import metanil.autos as autos
+    from metanil.core import gen_element, mul
 
-    solve = autos.solve_peeled
+    read_off = autos._read_off
 
-    def off_by_one(system, b):
-        x, cert = solve(system, b)
-        if x is not None:
-            x = [x[0] + 1] + list(x[1:])
-        return x, cert
+    def off_by_one(params, w, defects):
+        factor, read = read_off(params, w, defects)
+        return mul(gen_element(params, 0), factor), read
 
-    monkeypatch.setattr(autos, "solve_peeled", off_by_one)
+    monkeypatch.setattr(autos, "_read_off", off_by_one)
     spec = '{"pairs": [{"u": "a b", "lambda": 1}]}'
     code, out, err = run(capsys, "is-inner", "--rank", "2", "--class", "3", spec)
     assert code == 5 and out == ""

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from metanil.autos import _inner_system
+import metanil.normality as normality
+from metanil.core import enumerate_basics
 from metanil.intsolve import (
     InfeasibilityCertificate,
     integer_solve,
     integer_solve_explain,
-    peel,
     smith_normal_form,
     solve_peeled,
 )
 from metanil.normality import _layer_system
+from metanil.words import GroupParams
 from metanil.words import DomainError, EngineFault
 
 
@@ -386,22 +387,41 @@ def test_returned_lists_are_not_shared_between_calls():
     assert (x2, kernel2) == expected
 
 
-# --- the peeled systems of the decision engine ---------------------------------
+# --- the triangular systems of the decision engine ------------------------------
 
-# every layer system up to these classes, and every conjugator-search system
+# every layer system up to these classes
 PEELED_SHAPES = [(2, 10), (3, 7), (4, 6), (5, 5), (6, 4), (7, 3), (8, 3)]
 
 
-@pytest.mark.parametrize("d,k", PEELED_SHAPES)
+def rule_pivot(i, delta, d):
+    """The named pivot of column (i, D), restated: (is case 2, generator, basic)."""
+    tail = tuple(g for g, reps in enumerate(delta) for _ in range(reps))
+    m = min((g for g, reps in enumerate(delta) if reps), default=d)
+    if i > m:
+        return True, m, (i, m) + tail
+    j = d - 2 if i == d - 1 else d - 1
+    return False, j, (max(i, j), min(i, j)) + tail
+
+
+@pytest.mark.parametrize("d,k", PEELED_SHAPES + [(4, 7), (3, 8)])
 def test_every_engine_system_peels_completely(d, k):
+    # the closed-form rule of the normality docstring: every named pivot is
+    # ±1 on its own row, a case-2 pivot row holds nothing else, and a case-1
+    # pivot row's other entries lie in case-2 columns; so the system is
+    # triangular with case-2 columns first
     for w in range(2, k + 1):
-        (_, pivots, _), cols = _layer_system(d, w)
-        assert len(pivots) == len(cols)
-    for w in range(1, k):
-        rows, pivots, free = _inner_system(d, w)
-        assert sorted(c for _, c in pivots) == list(range(len(pivots)))
-        assert len({r for r, _ in pivots}) == len(pivots)
-        assert {c for row in rows for c in row} <= set(range(len(pivots)))
+        (rows, pivots, free), cols = _layer_system(d, w)
+        basics = enumerate_basics(GroupParams(d, w), w)
+        row_of = {(j, seq): j * len(basics) + r for j in range(d) for r, seq in enumerate(basics)}
+        named = [rule_pivot(i, delta, d) for i, delta in cols]
+        case2 = {c for c, (two, _, _) in enumerate(named) if two}
+        expected = [(row_of[j, seq], c) for c, (_, j, seq) in enumerate(named)]
+        assert len({r for r, _ in expected}) == len(cols)
+        for r, c in expected:
+            assert rows[r][c] in (1, -1)
+            others = set(rows[r]) - {c}
+            assert not others if c in case2 else others <= case2
+        assert list(pivots) == sorted(expected, key=lambda rc: rc[1] not in case2)
         assert sorted(free + tuple(r for r, _ in pivots)) == list(range(len(rows)))
 
 
@@ -414,24 +434,38 @@ def test_pivots_are_unit_and_triangular():
             fixed.add(c)
 
 
-def test_peel_takes_the_least_indexed_unit_singleton():
-    # row 0 holds a non-unit singleton, so row 1 fixes column 0; that leaves
-    # row 2 a unit singleton, which goes before row 3
-    rows, pivots, free = peel([{0: 2, 1: 1, 2: 3}, {2: 1, 3: -1}], 4)
-    assert pivots == ((1, 0), (2, 1))
-    assert rows == ({0: 2}, {0: 1}, {0: 3, 1: 1}, {1: -1})
-    assert free == (0, 3)
+# in the (3,3) system, with D = (1, 0, 0), column (1, D) is case 2 (m = 0):
+# its pivot is row (0, (1, 0, 0)), which column (0, D), case 1, never reaches
+D100 = (1, 0, 0)
 
 
-@pytest.mark.parametrize("columns,m", [([{0: 2}], 1), ([{0: 1, 1: 1}, {0: 1, 1: 1}], 2)])
-def test_a_stalled_peel_is_an_engine_fault(columns, m):
-    with pytest.raises(EngineFault, match="peeling stalls"):
-        peel(columns, m)
+@pytest.mark.parametrize(
+    "col,scale,extra",
+    [((1, D100), 2, None), ((0, D100), 1, (1, 0, 0))],
+    ids=["non-unit", "off-triangle"],
+)
+def test_a_wrong_pivot_is_an_engine_fault(monkeypatch, col, scale, extra):
+    # a non-unit named pivot, or an entry of a case-1 column in a case-2
+    # pivot row, breaks the triangular solve; building the system must refuse
+    assert rule_pivot(1, D100, 3) == (True, 0, (1, 0, 0))
+    rewrite = normality._rewrite
+
+    def corrupted(eps, s, params):
+        out = rewrite(eps, s, params)
+        if eps == {col: 1} and s == 0:
+            out = {b: v * scale for b, v in out.items()}
+            if extra is not None:
+                out[extra] = 1
+        return out
+
+    monkeypatch.setattr(normality, "_rewrite", corrupted)
+    with pytest.raises(EngineFault, match="no unit pivot"):
+        _layer_system.__wrapped__(3, 3)
 
 
 def test_solve_peeled_refuses_a_length_mismatch():
     with pytest.raises(DomainError):
-        solve_peeled(peel([{0: 1}], 2), [1])
+        solve_peeled((({0: 1}, {}), ((0, 0),), (1,)), [1])
 
 
 @pytest.mark.parametrize("d,k", [(2, 8), (3, 6), (4, 5)])

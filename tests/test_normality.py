@@ -552,15 +552,17 @@ def test_rank_two_defects_decouple():
 
 
 def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
-    # a layer solve that is off by one leaves a defect the engine's own checks
-    # see; that is an engine fault, so it must raise rather than come back as
-    # a certificate-less refusal or a plain "not inner".  The conjugator
-    # search solves through autos, the decision through normality.
+    # a layer solve or a read-off that is off by one leaves a defect the
+    # engine's own checks see; that is an engine fault, so it must raise
+    # rather than come back as a certificate-less refusal or a plain "not
+    # inner".  The conjugator search reads off through autos._read_off, the
+    # decision solves through normality.
     import metanil.autos as autos
     import metanil.normality as normality
     from metanil.cli import main
 
     solve_peeled = normality.solve_peeled
+    read_off = autos._read_off
 
     def off_by_one(solution):
         x, cert = solution
@@ -568,7 +570,11 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
             x = [x[0] + 1] + list(x[1:])
         return x, cert
 
-    monkeypatch.setattr(autos, "solve_peeled", lambda f, b: off_by_one(solve_peeled(f, b)))
+    def read_a0_off_by_one(params, w, defects):
+        factor, read = read_off(params, w, defects)
+        return mul(gen_element(params, 0), factor), read
+
+    monkeypatch.setattr(autos, "_read_off", read_a0_off_by_one)
     monkeypatch.setattr(
         normality, "solve_peeled", lambda f, b: off_by_one(solve_peeled(f, b))
     )
@@ -576,10 +582,10 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
     with pytest.raises(EngineFault):
         synthesize_gen_inner(f)
-    with pytest.raises(EngineFault):
+    with pytest.raises(EngineFault, match="conjugator search"):
         is_inner(f)
-    # at class 3 the wrong layer-1 solve leaves a weight-2 defect, which the
-    # layer-3 system cannot read; that is the same fault, not bad input
+    # at class 3 the wrong step-1 coefficient leaves the weight-2 coordinate
+    # it was read from nonzero; that is the same fault, not a "not inner"
     p = GroupParams(2, 3)
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
     with pytest.raises(EngineFault):
@@ -641,9 +647,8 @@ def test_each_layer_system_is_built_once():
 
 
 def test_warm_decision_looks_up_no_matrix(monkeypatch):
-    # each layer is kept peeled, so a warm decision neither rebuilds nor
-    # re-peels a layer system, and decides as before
-    import metanil.intsolve as intsolve
+    # each layer system is kept with its pivots, so a warm decision rewrites
+    # no symbol again, and decides as before
     import metanil.normality as normality
 
     p = GroupParams(3, 5)
@@ -655,9 +660,7 @@ def test_warm_decision_looks_up_no_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("a layer system was rebuilt")
 
-    monkeypatch.setattr(normality, "peel", refuse)
     monkeypatch.setattr(normality, "_rewrite", refuse)
-    monkeypatch.setattr(intsolve, "peel", refuse)
     assert [synthesize_gen_inner(f) for f in (accepted, refused)] == cold
 
 

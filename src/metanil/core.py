@@ -13,8 +13,11 @@ as a sparse integer vector.  Conjugation by a generator a_j acts on that
 vector as the unipotent map 1 + D_j, where D_j appends j to a bracket and
 re-expresses the result in the basis; D_j raises weight, hence is nilpotent,
 and all the product formulas below reduce to finite binomial series in the
-D_j.  Everything is exact integer arithmetic; the only "truncation" is the
-defining relation weight > k = trivial.
+D_j.  Conjugation by a^E = a0^E0 ... a(d-1)^E(d-1) is prod_j (1 + D_j)^E_j,
+and every product, power and commutator applies N_E = conj_(a^E) - 1
+through one cache of per-bracket images (_act_basis).  Everything is exact
+integer arithmetic; the only "truncation" is the defining relation
+weight > k = trivial.
 """
 
 from __future__ import annotations
@@ -183,32 +186,41 @@ def _apply_d(vec: DVec, j: int, k: int) -> DVec:
 
 
 @lru_cache(maxsize=1 << 17)
-def _act_basis(seq: Basic, j: int, e: int, k: int) -> tuple[tuple[Basic, int], ...]:
-    """(1 + D_j)^e = sum_r binom(e, r) D_j^r applied to one basis bracket."""
+def _act_basis(seq: Basic, e: tuple[int, ...], k: int) -> tuple[tuple[Basic, int], ...]:
+    """N_E seq = (conj_(a^E) - 1) seq for one basis bracket of weight < k, E != 0.
+
+    The D_j commute on M', so conj_(a^E) = prod_j (1 + D_j)^E_j.  One block,
+    E = c e_j, is the series sum_{r>=1} binom(c, r) D_j^r; a longer E moves
+    the bracket through its blocks in turn, each block's images drawn from
+    this same cache.  N_E raises weight, so seq keeps coefficient 1.
+    """
     out: DVec = {seq: 1}
-    cur: DVec = {seq: 1}
-    r = 1
-    while True:
-        cur = _apply_d(cur, j, k)
-        if not cur:
-            return tuple(out.items())
-        _vadd(out, cur, binom(e, r))
-        r += 1
+    moving = [(j, c) for j, c in enumerate(e) if c]
+    if len(moving) == 1:
+        (j, c), = moving
+        cur, r = {seq: 1}, 1
+        while cur := _apply_d(cur, j, k):
+            _vadd(out, cur, binom(c, r))
+            r += 1
+    else:
+        for j, c in moving:
+            _add_conj(out, list(out.items()), (0,) * j + (c,) + (0,) * (len(e) - j - 1), k)
+    del out[seq]
+    return tuple(out.items())
 
 
-def _act_gen_pow(vec: DVec, j: int, e: int, k: int) -> DVec:
-    """Conjugation of a derived vector by a_j^e."""
-    if not vec or not e:
-        return dict(vec)
-    out: DVec = {}
-    for seq, coef in vec.items():
-        for s2, c2 in _act_basis(seq, j, e, k):
-            v = out.get(s2, 0) + coef * c2
-            if v:
-                out[s2] = v
-            else:
-                out.pop(s2, None)
-    return out
+def _add_conj(acc: DVec, pairs, e: tuple[int, ...], k: int) -> None:
+    """acc += N_E v, v given as (bracket, coefficient) pairs; N_E is 0 on weight k."""
+    if not any(e):
+        return
+    for seq, coef in pairs:
+        if len(seq) < k:
+            for s2, c2 in _act_basis(seq, e, k):
+                v = acc.get(s2, 0) + coef * c2
+                if v:
+                    acc[s2] = v
+                else:
+                    acc.pop(s2, None)
 
 
 def _hockey(vec: DVec, n: int, step) -> DVec:
@@ -223,13 +235,10 @@ def _hockey(vec: DVec, n: int, step) -> DVec:
 
 
 def _conj_minus_one(vec: DVec, e, k: int) -> DVec:
-    """N_E = conj_(a^E) - 1: block j adds ((1 + D_j)^E_j - 1) u, which is 0 on weight k."""
-    u = dict(vec)
-    for j, c in enumerate(e):
-        for seq, coef in [p for p in u.items() if c and len(p[0]) < k]:
-            for s2, c2 in _act_basis(seq, j, c, k)[1:]:  # [0] is (seq, 1)
-                u[s2] = u.get(s2, 0) + coef * c2
-    return {s: v - vec.get(s, 0) for s, v in u.items() if v != vec.get(s, 0)}
+    """N_E vec = (conj_(a^E) - 1) vec, in one pass over the brackets' cached images."""
+    out: DVec = {}
+    _add_conj(out, vec.items(), tuple(e), k)
+    return out
 
 
 @lru_cache(maxsize=1 << 15)
@@ -376,24 +385,23 @@ def _check_params(x: Element, y: Element) -> None:
         raise DomainError(f"parameter mismatch: {x.params} vs {y.params}")
 
 
-def _rmul_block(exp: list[int], vec: DVec, j: int, c: int, params: GroupParams) -> DVec:
-    """Right-multiply the state (exp, vec) by a_j^c, in place for exp.
+def _rmul_block(exp: list[int], vec: DVec, j: int, c: int, params: GroupParams) -> None:
+    """Right-multiply the state (exp, vec) by a_j^c, in place.
 
-    Moving a_j^c left past the heavier generator blocks costs the correction
-    [a_{j+1}^{e_{j+1}} ... a_{d-1}^{e_{d-1}}, a_j^c], itself pushed to the far
-    right; the old derived part is conjugated by a_j^c.
+    The old derived part is conjugated by a_j^c.  Moving a_j^c left past the
+    heavier generator blocks costs the correction [a_m^{e_m}, a_j^c] for each
+    m > j, conjugated by the blocks a_{m+1}^{e_{m+1}} ... a_{d-1}^{e_{d-1}}
+    it passes on its way to the far right.
     """
     if c == 0:
-        return vec
+        return
     d, k = params.rank, params.nilclass
-    out = _act_gen_pow(vec, j, c, k)
+    _add_conj(vec, list(vec.items()), (0,) * j + (c,) + (0,) * (d - j - 1), k)
     for m in range(j + 1, d):
         g = _gen_comm(m, exp[m], j, c, k)
-        for p in range(m + 1, d):
-            g = _act_gen_pow(g, p, exp[p], k)
-        _vadd(out, g)
+        _vadd(vec, g)
+        _add_conj(vec, g.items(), (0,) * (m + 1) + tuple(exp[m + 1 :]), k)
     exp[j] += c
-    return out
 
 
 def collect(w: Word, params: GroupParams) -> Element:
@@ -403,7 +411,7 @@ def collect(w: Word, params: GroupParams) -> Element:
     for g, e in w.letters:
         if not 0 <= g < params.rank:
             raise DomainError(f"generator index {g} out of range for rank {params.rank}")
-        vec = _rmul_block(exp, vec, g, e, params)
+        _rmul_block(exp, vec, g, e, params)
     return _mk(params, exp, vec)
 
 
@@ -418,10 +426,9 @@ def _state(x: Element) -> State:
 
 def _smul(params: GroupParams, x: State, y: State) -> State:
     """x y, collected: y's generator blocks moved in, then its derived part."""
-    exp, vec = list(x[0]), x[1]
+    exp, vec = list(x[0]), dict(x[1])
     for j, c in enumerate(y[0]):
-        vec = _rmul_block(exp, vec, j, c, params)  # a new dict once a block moves
-    vec = dict(vec) if vec is x[1] else vec
+        _rmul_block(exp, vec, j, c, params)
     _vadd(vec, y[1])
     return exp, vec
 
@@ -430,7 +437,7 @@ def _sinv(params: GroupParams, x: State) -> State:
     """(A s)^-1 = s^-1 A^-1, with A^-1 collected block by block from the right."""
     exp, vec = [0] * params.rank, {}
     for m in reversed(range(params.rank)):
-        vec = _rmul_block(exp, vec, m, -x[0][m], params)
+        _rmul_block(exp, vec, m, -x[0][m], params)
     return _smul(params, ((0,) * params.rank, {s: -c for s, c in x[1].items()}), (exp, vec))
 
 

@@ -133,7 +133,11 @@ def enumerate_deltas(nslots: int, degree: int) -> list[Delta]:
 
 
 def _delta_tail(delta: Delta) -> tuple[int, ...]:
-    return tuple(g for g, reps in enumerate(delta) for _ in range(reps))
+    out: tuple[int, ...] = ()
+    for g, reps in enumerate(delta):
+        if reps:
+            out += (g,) * reps
+    return out
 
 
 def eval_delta_comm(x: Element, y: Element, delta: Delta) -> Element:
@@ -222,6 +226,7 @@ def delta_basis_rewrite(
     repaired through [x, y, z] = [y, z, x]^-1 [x, z, y], which shifts one
     multiplicity of m onto the displaced index.  Entries with i = s vanish.
     """
+    _check_assignment(eps, s, params)
     entries = _rewrite(eps, s, params)
     return [entries.get(seq, 0) for seq in enumerate_basics(params, params.nilclass)]
 
@@ -229,8 +234,12 @@ def delta_basis_rewrite(
 def _rewrite(
     eps: dict[tuple[int, Delta], int], s: int, params: GroupParams
 ) -> dict[tuple[int, ...], int]:
-    """The nonzero coordinates of ``delta_basis_rewrite``, keyed by basic."""
-    degree = _check_assignment(eps, s, params)
+    """The nonzero coordinates of ``delta_basis_rewrite``, keyed by basic.
+
+    Unchecked: the caller has passed eps and s through _check_assignment,
+    or built them for a shape it checked once.
+    """
+    degree = params.nilclass - 2
     out: dict[tuple[int, ...], int] = {}
 
     def emit(seq: tuple[int, ...], coef: int) -> None:
@@ -325,6 +334,7 @@ def _layer_system(d: int, w: int) -> tuple[PeeledSystem, tuple[tuple[int, Delta]
     built once.
     """
     params = GroupParams(d, w)
+    _check_assignment({}, 0, params)  # every column below is built for this shape
     row_of = {key: r for r, key in enumerate(product(range(d), enumerate_basics(params, w)))}
     cols = tuple((i, delta) for i in range(d) for delta in enumerate_deltas(d, w - 2))
     rows: list[dict[int, int]] = [{} for _ in row_of]

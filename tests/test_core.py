@@ -9,13 +9,18 @@ import metanil
 from metanil.core import (
     MAX_BASICS,
     Element,
+    _apply_d,
+    _conj_minus_one,
+    _gen_comm,
     _mk,
     _power_differences,
+    _vadd,
     _sinv,
     _smul,
     _state,
     all_basics,
     basis_size,
+    binom,
     collect,
     collect_text,
     commutator,
@@ -452,6 +457,114 @@ def test_power_texts_agree_with_the_oracle():
         assert same == oracle_equal(parse_word(t1, P35), parse_word(t2, P35), P35), (t1, t2)
         verdicts.append(same)
     assert verdicts.count(True) == 25
+
+
+# --- the module action: differential check against the chained N_E ---------------
+#
+# The reference conjugates by a^E one generator block at a time, each block
+# expanding (1 + D_j)^E_j over the whole vector, and collects products with
+# the per-block conjugations that the cached one-pass action replaced.
+
+
+def chained_conj(vec, e, k):
+    """conj_(a^E) vec, as prod_j (1 + D_j)^E_j applied block after block."""
+    for j, c in enumerate(e):
+        if c:
+            out = {}
+            for seq, coef in vec.items():
+                cur, r = {seq: coef}, 0
+                while cur:
+                    _vadd(out, cur, binom(c, r))
+                    cur, r = _apply_d(cur, j, k), r + 1
+            vec = out
+    return dict(vec)
+
+
+def chained_n(vec, e, k):
+    out = chained_conj(vec, e, k)
+    _vadd(out, vec, -1)
+    return out
+
+
+def chained_mul(params, x, y):
+    d, k = params.rank, params.nilclass
+    exp, vec = list(x[0]), dict(x[1])
+    for j, c in enumerate(y[0]):
+        if c:
+            vec = chained_conj(vec, tuple(c if i == j else 0 for i in range(d)), k)
+            for m in range(j + 1, d):
+                suffix = (0,) * (m + 1) + tuple(exp[m + 1 :])
+                _vadd(vec, chained_conj(_gen_comm(m, exp[m], j, c, k), suffix, k))
+            exp[j] += c
+    _vadd(vec, y[1])
+    return tuple(exp), vec
+
+
+def chained_inverse(params, x):
+    d = params.rank
+    a_inv = ((0,) * d, {})
+    for m in reversed(range(d)):
+        block = tuple(-x[0][m] if i == m else 0 for i in range(d))
+        a_inv = chained_mul(params, a_inv, (block, {}))
+    return chained_mul(params, ((0,) * d, {s: -c for s, c in x[1].items()}), a_inv)
+
+
+def chained_power(params, x, n):
+    if n < 0:
+        x, n = chained_inverse(params, x), -n
+    out = ((0,) * params.rank, {})
+    while n:
+        if n & 1:
+            out = chained_mul(params, out, x)
+        n >>= 1
+        if n:
+            x = chained_mul(params, x, x)
+    return out
+
+
+def module_sample(rng, params, zero_exp=False):
+    # a few brackets of every weight, the top weight k included, and an
+    # exponent vector with zero and negative entries
+    exp = tuple(0 if zero_exp else rng.randint(-3, 3) for _ in range(params.rank))
+    vec = {}
+    for w in range(2, params.nilclass + 1):
+        basics = enumerate_basics(params, w)
+        for seq in rng.sample(basics, min(2, len(basics))):
+            vec[seq] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return exp, vec
+
+
+MODULE_SHAPES = [(2, 7), (3, 5), (4, 4), (5, 4), (6, 3), (7, 3), (8, 3), (9, 3)]
+
+
+@pytest.mark.parametrize("d,k", MODULE_SHAPES)
+def test_module_action_matches_the_chained_blocks(d, k):
+    params = GroupParams(d, k)
+    rng = random.Random(7 * d + k)
+    for t in range(6):
+        e, vec = module_sample(rng, params, zero_exp=t == 0)
+        f, _ = module_sample(rng, params)
+        assert _conj_minus_one(vec, e, k) == chained_n(vec, e, k)
+        assert _conj_minus_one(vec, f, k) == chained_n(vec, f, k)
+        x, y = (_mk(params, *module_sample(rng, params, zero_exp=t == 1)) for _ in range(2))
+        sx, sy = (x.exp, x.dmap()), (y.exp, y.dmap())
+        assert mul(x, y) == _mk(params, *chained_mul(params, sx, sy))
+        assert inverse(x) == _mk(params, *chained_inverse(params, sx))
+        yx_inv = chained_inverse(params, chained_mul(params, sy, sx))
+        comm = chained_mul(params, yx_inv, chained_mul(params, sx, sy))
+        assert commutator(x, y) == _mk(params, *comm)
+        for n in (0, 1, -1, k + 2, -(k + 3), 10**6 + 3):
+            assert power(x, n) == _mk(params, *chained_power(params, sx, n)), n
+
+
+def test_module_action_keeps_a_pair_that_cancels_on_the_way():
+    # N_E of the weight-4 bracket lands -2 on (1,0,0,0,1), where the input
+    # holds +2 of the fixed weight-5 bracket: the result must keep the -2
+    vec = {(1, 0, 0, 0, 1): 2, (1, 0, 0, 0): -2}
+    expect = {(1, 0, 0, 0, 0): -4, (1, 0, 0, 0, 1): -2}
+    assert chained_n(vec, (2, 1), 5) == expect
+    assert _conj_minus_one(vec, (2, 1), 5) == expect
+    assert vec == {(1, 0, 0, 0, 1): 2, (1, 0, 0, 0): -2}
 
 
 def test_cache_info_lists_every_cache():

@@ -229,6 +229,23 @@ def test_rewrite_degree_validation():
         delta_rewrite_injective(0, GroupParams(2, 1))
 
 
+@pytest.mark.parametrize(
+    "eps,s,match",
+    [
+        ({(1, (1, 0, 0)): 1}, 3, "head index"),
+        ({(1, (1, 0, 0)): 1}, -1, "head index"),
+        ({(1, (1, 1, 0)): 1}, 0, "degree"),
+        ({(1, ()): 1}, 0, "degree"),
+        ({(3, (1, 0, 0)): 1}, 0, "symbol index"),
+    ],
+)
+def test_public_rewrite_checks_what_the_layer_systems_skip(eps, s, match):
+    # _layer_system checks its shape once and rewrites unchecked; the public
+    # rewrite still refuses a bad head, a bad symbol and a wrong degree
+    with pytest.raises(DomainError, match=match):
+        delta_basis_rewrite(eps, s, P33)
+
+
 @pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])
 def test_rewrite_injectivity_grid(d, k):
     p = GroupParams(d, k)

@@ -41,6 +41,7 @@ from .core import (
     _mk,
     _smul,
     _vadd,
+    commutator,
     derived_element,
     element_from_json,
     element_to_json,
@@ -143,11 +144,11 @@ def invert_ia(f: AutoSpec) -> AutoSpec:
         c = compose_endo(g, f)
         if c.is_identity:
             return g
-        images = []
-        for i in range(params.rank):
-            defect = mul(inverse(gen_element(params, i)), c.images[i])
-            images.append(mul(gen_element(params, i), inverse(defect)))
-        g = compose_endo(AutoSpec(params, tuple(images)), g)
+        # c(a_i) = a_i s_i collected, so the correction is a_i -> a_i s_i^-1
+        images = tuple(
+            _mk(params, img.exp, {b: -v for b, v in img.derived}) for img in c.images
+        )
+        g = compose_endo(AutoSpec(params, images), g)
     raise EngineFault("defect correction failed to terminate")
 
 
@@ -462,11 +463,6 @@ def gen_inner_from_json(obj: dict, params: GroupParams | None = None) -> GenInne
 # --- inner-ness ----------------------------------------------------------------
 
 
-def _conjugation_images(params: GroupParams, u: Element) -> tuple[Element, ...]:
-    """Generator images of x -> x[x, u], the same map as the data ((u, 1),)."""
-    return gen_inner_to_spec(GenInnerData(params, ((u, 1),))).images
-
-
 def _read_off(
     params: GroupParams, w: int, defects: list[DVec]
 ) -> tuple[Element, tuple[tuple[int, Basic], ...]]:
@@ -503,11 +499,15 @@ def is_inner(f: AutoSpec) -> Element | None:
         raise DomainError("only IA specs can be inner here")
     params = f.params
     require_enumerable(params, "is-inner")
-    d, k = params.rank, params.nilclass
+    k = params.nilclass
+    gens = [gen_element(params, i) for i in range(params.rank)]
     u, read = identity(params), ()
     for w in range(1, k + 1):
-        current = _conjugation_images(params, u)
-        defects = [mul(inverse(current[i]), f.images[i]).dmap() for i in range(d)]
+        # f(a_i) = a_i s_i collected, and conjugation by u sends a_i to
+        # a_i [a_i, u], so the remaining defect is s_i - [a_i, u] in M'
+        defects = [img.dmap() for img in f.images]
+        for a, dm in zip(gens, defects):
+            _vadd(dm, commutator(a, u).dmap(), -1)
         if any(defects[g].get(seq) for g, seq in read):
             raise EngineFault(f"conjugator search leaves a read coordinate of layer {w} nonzero")
         if any(len(seq) <= w for dm in defects for seq in dm):

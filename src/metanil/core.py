@@ -327,21 +327,10 @@ class Element:
         return " ".join(parts) if parts else "1"
 
 
-@lru_cache(maxsize=1 << 16)
-def _pair(s: Basic, c: int) -> tuple[Basic, int]:
-    """One shared (bracket, coefficient) tuple per value.
-
-    The elements held by the caches repeat a few thousand distinct pairs
-    hundreds of thousands of times, so sharing one tuple per value saves
-    most of the memory they hold.
-    """
-    return s, c
-
-
 def _mk(params: GroupParams, exp, dvec: DVec) -> Element:
     # trusted constructor: inputs come from the engine, skip re-validation
     derived = tuple(
-        sorted((_pair(s, c) for s, c in dvec.items() if c), key=lambda p: (len(p[0]), p[0]))
+        sorted(((s, c) for s, c in dvec.items() if c), key=lambda p: (len(p[0]), p[0]))
     )
     obj = object.__new__(Element)
     object.__setattr__(obj, "params", params)
@@ -416,7 +405,8 @@ def collect(w: Word, params: GroupParams) -> Element:
 
 
 # A collector state (exp, vec) is an element before _mk.  _smul is the one
-# product formula; mul, inverse, power and collect_text all build on it.
+# product formula; mul, inverse, power, collect_text and the commutator of
+# two generator parts all build on it.
 State = tuple[tuple[int, ...] | list[int], DVec]
 
 
@@ -504,13 +494,11 @@ def collect_text(text: str, params: GroupParams) -> Element:
     return _mk(params, *text_state(text, params))
 
 
-@lru_cache(maxsize=1 << 15)
 def mul(x: Element, y: Element) -> Element:
     _check_params(x, y)
     return _mk(x.params, *_smul(x.params, (x.exp, x.dmap()), (y.exp, y.dmap())))
 
 
-@lru_cache(maxsize=1 << 14)
 def inverse(x: Element) -> Element:
     return _mk(x.params, *_sinv(x.params, _state(x)))
 
@@ -524,10 +512,14 @@ def power(x: Element, n: int) -> Element:
 def _comm_exp_parts(
     params: GroupParams, e: tuple[int, ...], f: tuple[int, ...]
 ) -> tuple[tuple[Basic, int], ...]:
-    """[a0^e0 ... , a0^f0 ...] for two sorted generator-power products."""
-    ae = _mk(params, e, {})
-    af = _mk(params, f, {})
-    return mul(mul(inverse(ae), inverse(af)), mul(ae, af)).derived
+    """[a^E, a^F] = c(E,F) - c(F,E), where a^E a^F = a^(E+F) c(E,F), c in M'.
+
+    a^F a^E = a^(E+F) c(F,E) as well, so a^-E a^-F a^E a^F = (a^F a^E)^-1
+    (a^E a^F) = c(F,E)^-1 c(E,F): two product formulas and no Element.
+    """
+    out = _smul(params, (e, {}), (f, {}))[1]
+    _vadd(out, _smul(params, (f, {}), (e, {}))[1], -1)
+    return tuple(out.items())
 
 
 def commutator(x: Element, y: Element) -> Element:
@@ -535,7 +527,8 @@ def commutator(x: Element, y: Element) -> Element:
 
         [x, y] = [A, B] + (conj_B - 1) s - (conj_A - 1) t,
 
-    every term a derived vector, no general products needed.
+    every term a derived vector and [A, B] two product formulas
+    (_comm_exp_parts), so no element product is collected.
     """
     _check_params(x, y)
     params = x.params

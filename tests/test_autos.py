@@ -139,7 +139,7 @@ def test_invert_ia_round_trips():
     assert compose_endo(f, inv).is_identity
     rng = random.Random(3)
     for _ in range(20):
-        params = GroupParams(rng.choice([2, 3]), rng.choice([2, 3, 4, 5]))
+        params = GroupParams(rng.choice([2, 3, 4]), rng.choice([2, 3, 4, 5]))
         f = random_ia_spec(rng, params)
         inv = invert_ia(f)
         assert compose_endo(f, inv).is_identity
@@ -667,7 +667,7 @@ def test_conjugation_images_are_the_pair_data_images():
     for params in (P23, P35, GroupParams(4, 4)):
         for _ in range(5):
             u = mul(random_element(rng, params), random_derived_element(rng, params))
-            images = autos._conjugation_images(params, u)
+            images = gen_inner_to_spec(GenInnerData(params, ((u, 1),))).images
             assert images == conjugation_spec(params, u).images
 
 
@@ -712,7 +712,7 @@ def reference_is_inner(f):
     return u
 
 
-@pytest.mark.parametrize("d,k", [(2, 3), (2, 6), (3, 3), (3, 5), (4, 4), (5, 3)])
+@pytest.mark.parametrize("d,k", [(2, 3), (2, 6), (3, 3), (3, 5), (4, 4), (4, 5), (5, 3)])
 def test_is_inner_matches_the_element_built_search(d, k):
     # conjugations, conjugations moved by one basic (inner or not, depending
     # on the basic), and random pair-data maps (mostly not inner)

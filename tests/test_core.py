@@ -10,6 +10,7 @@ from metanil.core import (
     MAX_BASICS,
     Element,
     _apply_d,
+    _comm_exp_parts,
     _conj_minus_one,
     _gen_comm,
     _mk,
@@ -43,7 +44,7 @@ from metanil.core import (
 )
 from metanil.magnus import oracle_equal
 from metanil.words import DomainError, GroupParams, parse_word
-from metanil.verify import random_element, random_word
+from metanil.verify import random_derived_element, random_element, random_gen_inner, random_word
 
 P23 = GroupParams(2, 3)
 P22 = GroupParams(2, 2)
@@ -192,14 +193,6 @@ def test_mul_examples():
     assert ba.exp == (1, 1) and dict(ba.derived) == {(1, 0): 1}
 
 
-def test_equal_derived_pairs_are_shared():
-    # elements held by the caches share one tuple per (bracket, coefficient)
-    x = collect_text("b a c", P35)
-    y = collect_text("b a c^2", P35)
-    assert x.derived[0] == y.derived[0] == ((1, 0), 1)
-    assert x.derived[0] is y.derived[0]
-
-
 def test_mul_params_mismatch():
     with pytest.raises(DomainError):
         mul(identity(P23), identity(P33))
@@ -258,6 +251,83 @@ def test_commutator_examples():
     assert dict(commutator(collect_text("b", P23), collect_text("a", P23)).derived) == {
         (1, 0): 1
     }
+
+
+def three_product_commutator(params, e, f):
+    """[a^E, a^F] collected as the general products A^-1 B^-1 . A B."""
+    a, b = _mk(params, e, {}), _mk(params, f, {})
+    return dict(mul(mul(inverse(a), inverse(b)), mul(a, b)).derived)
+
+
+@pytest.mark.parametrize(
+    "d,k,n",
+    [(2, 3, 30), (2, 8, 30), (2, 11, 20), (3, 5, 30), (3, 6, 30),
+     (4, 5, 20), (5, 6, 12), (7, 6, 6), (9, 6, 3)],
+)
+def test_exponent_commutator_matches_three_products(d, k, n):
+    # c(E,F) - c(F,E) from two product formulas against the collector's
+    # three general products, on zero vectors, single moving blocks, E = F,
+    # and random vectors with negative entries
+    params = GroupParams(d, k)
+    rng = random.Random(10 * d + k)
+    zero = (0,) * d
+
+    def vec():
+        return tuple(rng.randint(-4, 4) for _ in range(d))
+
+    def block():
+        j = rng.randrange(d)
+        return zero[:j] + (rng.choice([-3, -1, 2, 4]),) + zero[j + 1 :]
+
+    e = vec()
+    pairs = [(zero, zero), (zero, e), (e, zero), (e, e), (block(), block()), (block(), e)]
+    pairs += [(vec(), vec()) for _ in range(n)]
+    for e, f in pairs:
+        got = dict(_comm_exp_parts(params, e, f))
+        assert got == three_product_commutator(params, e, f)
+        assert dict(_comm_exp_parts(params, f, e)) == {b: -c for b, c in got.items()}
+    assert _comm_exp_parts(params, e, e) == ()
+
+
+def test_brackets_and_pair_data_take_no_general_product(monkeypatch):
+    # commutator, the pair-data maps and the decision answer the same with
+    # the collector's general product and inverse made to raise, cold
+    import metanil.autos as autos
+    import metanil.core as core
+    import metanil.normality as normality
+    from metanil.autos import apply_gen_inner, gen_inner_to_spec, invert_gen_inner
+    from metanil.normality import synthesize_gen_inner
+
+    rng = random.Random(29)
+    cases = []
+    for params in (P35, GroupParams(4, 4), GroupParams(2, 6)):
+        for _ in range(3):
+            x = mul(random_element(rng, params), random_derived_element(rng, params))
+            y = mul(random_element(rng, params), random_derived_element(rng, params))
+            cases.append((x, y, random_gen_inner(rng, params)))
+
+    def run():
+        return [
+            (
+                commutator(x, y),
+                apply_gen_inner(data, x),
+                invert_gen_inner(data),
+                synthesize_gen_inner(gen_inner_to_spec(data)),
+            )
+            for x, y, data in cases
+        ]
+
+    expect = run()
+
+    def refuse(*args):
+        raise AssertionError("a general product or inverse was collected")
+
+    metanil.clear_caches()
+    for mod in (core, autos, normality):
+        for name in ("mul", "inverse"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    assert run() == expect
 
 
 def test_power_matches_repeated_mul():
@@ -570,7 +640,8 @@ def test_module_action_keeps_a_pair_that_cancels_on_the_way():
 def test_cache_info_lists_every_cache():
     power(collect_text("a b c", P35), 51)
     info = metanil.cache_info()
-    assert {"core.mul", "core._act_basis", "magnus._basis"} <= set(info)
+    assert {"core._comm_exp_parts", "core._act_basis", "magnus._basis"} <= set(info)
+    assert not {"core.mul", "core.inverse", "core._pair"} & set(info)
     assert info["core._power_differences"].currsize >= 1
     assert info["core._power_differences"].maxsize == 256
     metanil.clear_caches()

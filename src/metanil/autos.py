@@ -1,7 +1,7 @@
 """The automorphism calculus: endomorphisms by generator images, maps of the
 shape x -> x * prod [x, u_i]^lambda(i), their closed-form composition and
 inversion, inner-ness decisions, and the x -> prod u_i^-1 x^e_i u_i
-product maps.
+product maps.  Specs act on basics by prefix: f([p, a_t]) = N_(exp f(a_t)) f(p).
 
 A map x -> x * prod [x, u_i]^lambda(i) is an endomorphism of any metabelian
 group and an automorphism of any metabelian nilpotent one.  Write it as
@@ -50,7 +50,6 @@ from .core import (
     identity,
     inverse,
     json_int,
-    left_normed,
     mul,
     power,
     require_enumerable,
@@ -94,13 +93,9 @@ def identity_spec(params: GroupParams) -> AutoSpec:
     return AutoSpec(params, tuple(gen_element(params, i) for i in range(params.rank)))
 
 
-@lru_cache(maxsize=1 << 14)
-def _image_of_basic(spec: AutoSpec, seq: Basic) -> Element:
-    return left_normed([spec.images[b] for b in seq])
-
-
 def apply_endo(f: AutoSpec, x: Element) -> Element:
-    """Homomorphic extension of the generator images, applied to x."""
+    """Homomorphic extension of the generator images, applied to x.  A basic
+    goes to N_E of its prefix's image, E = exp f(a_tw): [m, a^E t] = N_E m in M'."""
     if f.params != x.params:
         raise DomainError("parameter mismatch between spec and element")
     out = identity(f.params)
@@ -108,9 +103,15 @@ def apply_endo(f: AutoSpec, x: Element) -> Element:
         if e:
             out = mul(out, power(f.images[i], e))
     if x.derived:
+        k, img = f.params.nilclass, f.images
+        prefixes = {seq[:w] for seq, _ in x.derived for w in range(2, len(seq) + 1)}
+        images: dict[Basic, DVec] = {}  # prefix images, kept for this call only
+        for seq in sorted(prefixes, key=len):
+            images[seq] = (commutator(img[seq[0]], img[seq[1]]).dmap() if len(seq) == 2
+                           else _conj_minus_one(images[seq[:-1]], img[seq[-1]].exp, k))
         total: DVec = {}
         for seq, c in x.derived:
-            _vadd(total, _image_of_basic(f, seq).dmap(), c)
+            _vadd(total, images[seq], c)
         out = mul(out, derived_element(f.params, total))
     return out
 
@@ -173,8 +174,9 @@ def spec_from_json(obj: dict, params: GroupParams | None = None) -> AutoSpec:
     if "rank" in obj and "class" in obj:
         params = GroupParams(json_int(obj["rank"]), json_int(obj["class"]))
     if params is None:
-        first = obj["images"][0]
-        params = GroupParams(json_int(first["rank"]), json_int(first["class"]))
+        if not obj["images"]:
+            raise DomainError("cannot infer group parameters from an empty spec")
+        params = element_from_json(obj["images"][0]).params
     images = tuple(element_from_json(img, params) for img in obj["images"])
     return AutoSpec(params, images)
 
@@ -230,9 +232,6 @@ class GenInnerData:
     @property
     def is_empty(self) -> bool:
         return not self.pairs
-
-    def negated(self) -> "GenInnerData":
-        return GenInnerData(self.params, tuple((u, -lam) for u, lam in self.pairs))
 
 
 def _defect(data: GenInnerData, x: Element) -> DVec:

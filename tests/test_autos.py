@@ -35,6 +35,7 @@ from metanil.core import (
     collect_text,
     commutator,
     derived_element,
+    element_to_json,
     enumerate_basics,
     gamma_layer,
     gen_element,
@@ -96,6 +97,53 @@ def test_apply_endo_is_multiplicative():
         assert apply_endo(f, mul(x, y)) == mul(apply_endo(f, x), apply_endo(f, y))
 
 
+def apply_endo_reference(f, x):
+    """f(x) with each basic's image a fresh left_normed of whole images."""
+    out = identity(f.params)
+    for i, e in enumerate(x.exp):
+        out = mul(out, power(f.images[i], e))
+    total = {}
+    for seq, c in x.derived:
+        _vadd(total, left_normed([f.images[b] for b in seq]).dmap(), c)
+    return mul(out, derived_element(f.params, total))
+
+
+def random_endo(rng, params):
+    """An IA spec, or one whose images are random elements (rarely IA)."""
+    if rng.random() < 0.5:
+        return random_ia_spec(rng, params)
+    return AutoSpec(params, tuple(random_element(rng, params) for _ in range(params.rank)))
+
+
+def element_with_every_weight(rng, params):
+    """a^E times a derived part with basics of every weight 2..k (a^E collects to itself)."""
+    vec = {}
+    for w in range(2, params.nilclass + 1):
+        basics = enumerate_basics(params, w)
+        for seq in rng.sample(basics, min(3, len(basics))):
+            vec[seq] = rng.choice([-3, -1, 1, 2])
+    x = identity(params)
+    for i in range(params.rank):
+        x = mul(x, gen_element(params, i, rng.randint(-2, 2)))
+    return mul(x, derived_element(params, vec))
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 3), (2, 8), (3, 5), (4, 4), (5, 4), (6, 3), (7, 3), (8, 3), (9, 4)], ids=str
+)
+def test_apply_and_compose_endo_match_the_per_basic_brackets(shape):
+    rng = random.Random(sum(shape))
+    params = GroupParams(*shape)
+    for _ in range(4):
+        f, g = random_endo(rng, params), random_endo(rng, params)
+        x = element_with_every_weight(rng, params)
+        assert {len(seq) for seq, _ in x.derived} == set(range(2, params.nilclass + 1))
+        assert apply_endo(f, x) == apply_endo_reference(f, x)
+        assert compose_endo(g, f).images == tuple(
+            apply_endo_reference(g, img) for img in f.images
+        )
+
+
 def test_compose_endo_unit_laws_and_associativity():
     rng = random.Random(2)
     for _ in range(15):
@@ -144,6 +192,12 @@ def test_invert_ia_round_trips():
         inv = invert_ia(f)
         assert compose_endo(f, inv).is_identity
         assert compose_endo(inv, f).is_identity
+    # seed-1 map 4 at (5,6): a spec with 1 141 derived terms over long basics
+    rng, p56 = random.Random(1), GroupParams(5, 6)
+    f = [gen_inner_to_spec(random_gen_inner(rng, p56)) for _ in range(5)][4]
+    inv = invert_ia(f)
+    assert compose_endo(f, inv).is_identity
+    assert compose_endo(inv, f).is_identity
     with pytest.raises(DomainError):
         invert_ia(AutoSpec(P23, (inverse(gen_element(P23, 0)), gen_element(P23, 1))))
 
@@ -167,6 +221,26 @@ def test_golden_commutator_values():
 def test_spec_json_round_trip():
     _, f, _, _ = golden_ia_triple()
     assert spec_from_json(spec_to_json(f)).images == f.images
+
+
+def test_spec_from_json_refuses_an_empty_spec_without_parameters():
+    with pytest.raises(DomainError, match="empty spec"):
+        spec_from_json({"images": []})
+
+
+def test_spec_from_json_refuses_a_first_word_image_without_parameters():
+    with pytest.raises(DomainError, match="explicit group parameters"):
+        spec_from_json({"images": ["a", "b"]})
+
+
+def test_spec_from_json_later_images_inherit_the_first_parameters():
+    a = element_to_json(gen_element(P23, 0))
+    f = spec_from_json({"images": [a, "a b"]})
+    assert f.params == P23
+    assert f.images == (gen_element(P23, 0), collect_text("a b", P23))
+    b_ba2 = {"exp": [0, 1], "derived": [{"seq": [1, 0], "coef": 2}]}
+    g = spec_from_json({"images": [a, b_ba2]})
+    assert g.images[1] == collect_text("b [b,a]^2", P23)
 
 
 # --- generalized inner data -----------------------------------------------------

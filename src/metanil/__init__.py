@@ -40,7 +40,6 @@ from .core import (
 )
 from .magnus import (
     MagnusMatrix,
-    TruncPoly,
     kernel_selfcheck,
     magnus_of_word,
     oracle_equal,

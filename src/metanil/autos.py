@@ -500,13 +500,13 @@ def is_inner(f: AutoSpec) -> Element | None:
     require_enumerable(params, "is-inner")
     k = params.nilclass
     gens = [gen_element(params, i) for i in range(params.rank)]
+    # f(a_i) = a_i s_i collected, and conjugation by u sends a_i to
+    # a_i [a_i, u], so the remaining defect is s_i - [a_i, u] in M'.  It is
+    # updated per factor v: [a_i, u v] = [a_i, v] [a_i, u]^v, where u = 1 at
+    # step 1 and v lies in M' after it, acting trivially on the abelian M'
+    defects = [img.dmap() for img in f.images]
     u, read = identity(params), ()
     for w in range(1, k + 1):
-        # f(a_i) = a_i s_i collected, and conjugation by u sends a_i to
-        # a_i [a_i, u], so the remaining defect is s_i - [a_i, u] in M'
-        defects = [img.dmap() for img in f.images]
-        for a, dm in zip(gens, defects):
-            _vadd(dm, commutator(a, u).dmap(), -1)
         if any(defects[g].get(seq) for g, seq in read):
             raise EngineFault(f"conjugator search leaves a read coordinate of layer {w} nonzero")
         if any(len(seq) <= w for dm in defects for seq in dm):
@@ -515,6 +515,8 @@ def is_inner(f: AutoSpec) -> Element | None:
             break
         factor, read = _read_off(params, w, defects)
         u = mul(u, factor)
+        for a, dm in zip(gens, defects):
+            _vadd(dm, commutator(a, factor).dmap(), -1)
     return u
 
 

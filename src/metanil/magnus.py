@@ -11,9 +11,10 @@ not assumed: see kernel_selfcheck.  The oracle shares no code with the
 collector in :mod:`metanil.core`, so agreement between the two is meaningful
 evidence for both.
 
-Each polynomial is a dense coefficient list over the monomials of degree
-<= its cap, listed by degree; magnus_of_word folds a word into (s, m) one
-syllable at a time, in place, in at most k sweeps per syllable.
+Each polynomial is a dense coefficient tuple over the monomials of degree
+<= its cap, listed by degree (_basis); magnus_of_word folds a word into
+(s, m) one syllable at a time, in place, in at most k sweeps per syllable.
+The kernel audit multiplies and inverts the same tuples (_mul, _inv).
 """
 
 from __future__ import annotations
@@ -97,178 +98,92 @@ def _product_table(nvars: int, cap: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class TruncPoly:
-    """Integer polynomial in nvars variables, truncated above total degree cap.
+def _mul(p: tuple, q: tuple, nvars: int, cap: int) -> tuple:
+    """Product of two coefficient tuples over _basis(nvars, cap)."""
+    out = [0] * len(q)
+    for a, row in zip(p, _product_table(nvars, cap)):
+        if a:
+            for b, t in zip(q, row):
+                if b:
+                    out[t] += a * b
+    return tuple(out)
 
-    Stored densely: ``coeffs[i]`` is the coefficient of the i-th monomial of
-    the degree-ordered basis for (nvars, cap).  ``terms`` reads the nonzero
-    coefficients as a dict keyed by exponent tuples.
+
+def _inv(p: tuple, nvars: int, cap: int) -> tuple:
+    """Inverse of a unit (constant term +-1) by the geometric series.
+
+    p = c (1 - q) with c = p[0] and q of zero constant term, so
+    p^-1 = c (1 + q + q^2 + ...), and q^(cap+1) is truncated away.
     """
-
-    __slots__ = ("nvars", "cap", "coeffs")
-
-    def __init__(self, nvars: int, cap: int, terms: dict | None = None):
-        basis = _basis(nvars, cap)
-        coeffs = [0] * len(basis.monos)
-        for key, c in (terms or {}).items():
-            if not (
-                isinstance(key, tuple)
-                and len(key) == nvars
-                and all(isinstance(x, int) and x >= 0 for x in key)
-            ):
-                raise DomainError(f"malformed monomial {key!r} for {nvars} variables")
-            if sum(key) <= cap:
-                coeffs[basis.index[key]] = c
-        self.nvars = nvars
-        self.cap = cap
-        self.coeffs = coeffs
-
-    @classmethod
-    def _wrap(cls, nvars: int, cap: int, coeffs: list) -> "TruncPoly":
-        p = cls.__new__(cls)
-        p.nvars = nvars
-        p.cap = cap
-        p.coeffs = coeffs
-        return p
-
-    @classmethod
-    def const(cls, nvars: int, cap: int, c: int) -> "TruncPoly":
-        return cls(nvars, cap, {(0,) * nvars: c})
-
-    @classmethod
-    def var(cls, nvars: int, cap: int, i: int) -> "TruncPoly":
-        key = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, cap, {key: 1})
-
-    @property
-    def terms(self) -> dict:
-        monos = _basis(self.nvars, self.cap).monos
-        return {m: c for m, c in zip(monos, self.coeffs) if c}
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def constant_term(self) -> int:
-        return self.coeffs[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncPoly)
-            and self.nvars == other.nvars
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-    def _same_ring(self, other) -> None:
-        if not isinstance(other, TruncPoly):
-            raise DomainError(f"cannot combine a TruncPoly with {type(other).__name__}")
-        if self.nvars != other.nvars or self.cap != other.cap:
-            raise DomainError(
-                f"operands differ: {self.nvars} variables cap {self.cap} against "
-                f"{other.nvars} variables cap {other.cap}"
-            )
-
-    def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        self._same_ring(other)
-        coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        return TruncPoly._wrap(self.nvars, self.cap, coeffs)
-
-    def __neg__(self) -> "TruncPoly":
-        return TruncPoly._wrap(self.nvars, self.cap, [-a for a in self.coeffs])
-
-    def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        self._same_ring(other)
-        coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return TruncPoly._wrap(self.nvars, self.cap, coeffs)
-
-    def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        self._same_ring(other)
-        table = _product_table(self.nvars, self.cap)
-        right = other.coeffs
-        out = [0] * len(right)
-        for a, row in zip(self.coeffs, table):
-            if a:
-                for b, t in zip(right, row):
-                    if b:
-                        out[t] += a * b
-        return TruncPoly._wrap(self.nvars, self.cap, out)
-
-    def recap(self, cap: int) -> "TruncPoly":
-        size = len(_basis(self.nvars, cap).monos)
-        coeffs = self.coeffs[:size] + [0] * (size - len(self.coeffs))
-        return TruncPoly._wrap(self.nvars, cap, coeffs)
-
-    def inv(self) -> "TruncPoly":
-        """Inverse of a unit (constant term +-1) by the geometric series."""
-        c = self.constant_term()
-        if c not in (1, -1):
-            raise DomainError("only units with constant term +-1 are invertible")
-        q = TruncPoly._wrap(self.nvars, self.cap, [0] + [c * a for a in self.coeffs[1:]])
-        out = TruncPoly.const(self.nvars, self.cap, 1)
-        term = out
-        for _ in range(self.cap):
-            term = -(term * q)
-            if term.is_zero():
-                break
-            out = out + term
-        return TruncPoly._wrap(self.nvars, self.cap, [c * a for a in out.coeffs])
-
-    def __repr__(self) -> str:
-        return f"TruncPoly({self.terms!r})"
+    c = p[0]
+    if c not in (1, -1):
+        raise DomainError("only units with constant term +-1 are invertible")
+    q = (0,) + tuple(-c * a for a in p[1:])
+    out = term = (1,) + (0,) * (len(p) - 1)
+    for _ in range(cap):
+        term = _mul(term, q, nvars, cap)
+        if not any(term):
+            break
+        out = tuple(a + b for a, b in zip(out, term))
+    return tuple(c * a for a in out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MagnusMatrix:
-    scalar: TruncPoly
-    module: tuple[TruncPoly, ...]
+    """(s, m): s over _basis(d, k), each m_g over _basis(d, k - 1)."""
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MagnusMatrix)
-            and self.scalar == other.scalar
-            and self.module == other.module
-        )
+    scalar: tuple[int, ...]
+    module: tuple[tuple[int, ...], ...]
 
     def is_identity(self) -> bool:
-        s = self.scalar.coeffs
-        return s[0] == 1 and not any(s[1:]) and all(m.is_zero() for m in self.module)
+        s = self.scalar
+        return s[0] == 1 and not any(s[1:]) and not any(map(any, self.module))
 
 
 def mm_identity(params: GroupParams) -> MagnusMatrix:
     d, k = params.rank, params.nilclass
-    return MagnusMatrix(
-        TruncPoly.const(d, k, 1), tuple(TruncPoly(d, k - 1) for _ in range(d))
+    n_top, n_low = len(_basis(d, k).monos), len(_basis(d, k - 1).monos)
+    return MagnusMatrix((1,) + (0,) * (n_top - 1), ((0,) * n_low,) * d)
+
+
+def mm_mul(a: MagnusMatrix, b: MagnusMatrix, params: GroupParams) -> MagnusMatrix:
+    d, k = params.rank, params.nilclass
+    s_low = a.scalar[: len(a.module[0])]
+    module = tuple(
+        tuple(x + y for x, y in zip(_mul(s_low, mb, d, k - 1), ma))
+        for ma, mb in zip(a.module, b.module)
     )
+    return MagnusMatrix(_mul(a.scalar, b.scalar, d, k), module)
 
 
-def mm_mul(a: MagnusMatrix, b: MagnusMatrix) -> MagnusMatrix:
-    s = a.scalar * b.scalar
-    s_low = a.scalar.recap(a.module[0].cap)
-    module = tuple(s_low * mb + ma for ma, mb in zip(a.module, b.module))
-    return MagnusMatrix(s, module)
+def mm_inv(a: MagnusMatrix, params: GroupParams) -> MagnusMatrix:
+    d, k = params.rank, params.nilclass
+    s_inv = _inv(a.scalar, d, k)
+    s_inv_low = s_inv[: len(a.module[0])]
+    module = tuple(tuple(-x for x in _mul(s_inv_low, m, d, k - 1)) for m in a.module)
+    return MagnusMatrix(s_inv, module)
 
 
-def mm_inv(a: MagnusMatrix) -> MagnusMatrix:
-    s_inv = a.scalar.inv()
-    s_inv_low = s_inv.recap(a.module[0].cap)
-    return MagnusMatrix(s_inv, tuple(-(s_inv_low * m) for m in a.module))
-
-
-def mm_comm(a: MagnusMatrix, b: MagnusMatrix) -> MagnusMatrix:
-    return mm_mul(mm_mul(mm_inv(a), mm_inv(b)), mm_mul(a, b))
+def mm_comm(a: MagnusMatrix, b: MagnusMatrix, params: GroupParams) -> MagnusMatrix:
+    inverses = mm_mul(mm_inv(a, params), mm_inv(b, params), params)
+    return mm_mul(inverses, mm_mul(a, b, params), params)
 
 
 def _gen_power(params: GroupParams, i: int, e: int) -> MagnusMatrix:
     """Closed form of the i-th generator image raised to any integer power."""
     d, k = params.rank, params.nilclass
 
-    def key(r):
-        return tuple(r if j == i else 0 for j in range(d))
+    def series(cap: int, shift: int) -> tuple:
+        # binom(e, r + shift) at X_i^r, r = 0..cap
+        index = _basis(d, cap).index
+        out = [0] * len(index)
+        for r in range(cap + 1):
+            out[index[tuple(r if j == i else 0 for j in range(d))]] = binom(e, r + shift)
+        return tuple(out)
 
-    scalar = TruncPoly(d, k, {key(r): binom(e, r) for r in range(k + 1)})
-    mod = TruncPoly(d, k - 1, {key(r): binom(e, r + 1) for r in range(k)})
-    module = tuple(mod if j == i else TruncPoly(d, k - 1) for j in range(d))
-    return MagnusMatrix(scalar, module)
+    mod = series(k - 1, 1)
+    zero = (0,) * len(mod)
+    return MagnusMatrix(series(k, 0), tuple(mod if j == i else zero for j in range(d)))
 
 
 def magnus_of_word(w: Word, params: GroupParams) -> MagnusMatrix:
@@ -307,9 +222,7 @@ def magnus_of_word(w: Word, params: GroupParams) -> MagnusMatrix:
         module[g] = [a + b for a, b in zip(module[g], u)]
         for i, p in top.steps[g]:
             s[i] += u[p]
-    return MagnusMatrix(
-        TruncPoly._wrap(d, k, s), tuple(TruncPoly._wrap(d, k - 1, m) for m in module)
-    )
+    return MagnusMatrix(tuple(s), tuple(map(tuple, module)))
 
 
 def oracle_equal(w1: Word, w2: Word, params: GroupParams) -> bool:
@@ -341,7 +254,7 @@ def oracle_equal(w1: Word, w2: Word, params: GroupParams) -> bool:
 def _basic_matrix(seq: Basic, params: GroupParams) -> MagnusMatrix:
     acc = _gen_power(params, seq[0], 1)
     for g in seq[1:]:
-        acc = mm_comm(acc, _gen_power(params, g, 1))
+        acc = mm_comm(acc, _gen_power(params, g, 1), params)
     return acc
 
 
@@ -390,7 +303,7 @@ def kernel_selfcheck(params: GroupParams) -> SelfCheckReport:
                 failures.append(f"a weight-{k + 1} bracket survives truncation")
             return
         for g in range(d):
-            nxt = mm_comm(mat, _gen_power(params, g, 1))
+            nxt = mm_comm(mat, _gen_power(params, g, 1), params)
             if nxt.is_identity() and depth + 1 < k + 1:
                 checks += 1
                 continue

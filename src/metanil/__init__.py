@@ -80,7 +80,6 @@ from .normality import (
     delta_basis_rewrite,
     delta_min,
     delta_rewrite_injective,
-    delta_shift,
     enumerate_deltas,
     eval_delta_comm,
     normal_closure_top_generators,

@@ -15,13 +15,13 @@ N_E = conj_(a^E) - 1.  The pure-exponent bracket is expanded by
 [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz] on exponent tuples alone, and cached
 on them.  compose_gen_inner is this product, invert_gen_inner the finite
 series sum_r (-A)^r, and the solved bracket symbols of the decision are
-flattened the same way.  A map is applied on derived vectors too: with
-x = A s and u = B t, every bracket is core.commutator's closed form
-[x, u] = [A, B] + N_B s - N_A t, and _defect sums them over the pairs into
-x^-1 f(x) with no Element built per bracket.  Data equality is not
-canonical for these maps, so the official equivalence everywhere is
-extensional (equal gen_inner_to_spec images); the stored pair list is only
-brought to a normal form that the bracket cannot distinguish from the input.
+flattened the same way.  A map is applied on derived vectors too: every
+bracket [x, u] is a derived vector by core's closed form (core._add_comm),
+and _defect sums them over the pairs into x^-1 f(x) with no Element built
+per bracket.  Data equality is not canonical for these maps, so the
+official equivalence everywhere is extensional (equal gen_inner_to_spec
+images); the stored pair list is only brought to a normal form that the
+bracket cannot distinguish from the input.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .core import (
     Basic,
     DVec,
     Element,
-    _comm_exp_parts,
+    _add_comm,
     _conj_minus_one,
     _mk,
     _smul,
@@ -237,32 +237,21 @@ class GenInnerData:
 def _defect(data: GenInnerData, x: Element) -> DVec:
     """x^-1 f(x) = prod [x, u_i]^lambda(i), as one derived vector.
 
-    With x = A s and u = B t (s, t derived), core.commutator's closed form
-
-        [x, u] = [A, B] + N_B s - N_A t,    N_E = conj_(a^E) - 1,
-
-    is a derived vector, and M' is abelian, so the brackets add with their
-    lambdas and no Element is built per bracket.
+    Each [x, u] is core's closed form, a derived vector, and M' is abelian,
+    so core._add_comm adds the brackets with their lambdas and no Element
+    is built per bracket.
     """
-    params = data.params
-    k = params.nilclass
-    s = x.dmap()
     total: DVec = {}
     for u, lam in data.pairs:
-        _vadd(total, dict(_comm_exp_parts(params, x.exp, u.exp)), lam)
-        if s:
-            _vadd(total, _conj_minus_one(s, u.exp, k), lam)
-        if u.derived:
-            _vadd(total, _conj_minus_one(u.dmap(), x.exp, k), -lam)
+        _add_comm(total, x, u, lam)
     return total
 
 
 def apply_gen_inner(data: GenInnerData, x: Element) -> Element:
     """x * prod [x, u_i]^lambda(i): x = A s goes to A (s + _defect(data, x)).
 
-    All brackets lie in M', so the product is a sum of derived vectors
-    sum_i lambda_i ([A, B_i] + N_B_i s - N_A t_i) (u_i = B_i t_i), added to
-    the derived part of x with no collection step.
+    All brackets lie in M', so the product is the sum of derived vectors
+    _defect returns, added to the derived part of x with no collection step.
     """
     if data.params != x.params:
         raise DomainError("parameter mismatch between data and element")

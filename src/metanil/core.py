@@ -120,11 +120,12 @@ def require_enumerable(params: GroupParams, verb: str) -> None:
 # the tail may be sorted freely.  If the smallest tail entry still beats the
 # second entry the bracket is already basic; otherwise one application of
 #   [x, y, z] = [y, z, x]^-1 [x, z, y]      (z the smallest entry)
-# lands on two basic brackets.
+# lands on two basic brackets.  _normalize_raw is the collector's cache of
+# the rule; a caller that meets each bracket once and keeps its own result,
+# like normality's layer systems, calls _bracket_rule without filling it.
 
 
-@lru_cache(maxsize=1 << 16)
-def _normalize_raw(seq: Basic) -> tuple[tuple[Basic, int], ...]:
+def _bracket_rule(seq: Basic) -> tuple[tuple[Basic, int], ...]:
     c1, c2 = seq[0], seq[1]
     if c1 == c2:
         return ()
@@ -138,6 +139,9 @@ def _normalize_raw(seq: Basic) -> tuple[tuple[Basic, int], ...]:
     first = (c2, z) + tuple(sorted([c1] + rest))
     second = (c1, z) + tuple(sorted([c2] + rest))
     return ((first, -sign), (second, sign))
+
+
+_normalize_raw = lru_cache(maxsize=1 << 16)(_bracket_rule)
 
 
 def normalize_left_normed(seq, params: GroupParams) -> DVec:
@@ -209,12 +213,13 @@ def _act_basis(seq: Basic, e: tuple[int, ...], k: int) -> tuple[tuple[Basic, int
     return tuple(out.items())
 
 
-def _add_conj(acc: DVec, pairs, e: tuple[int, ...], k: int) -> None:
-    """acc += N_E v, v given as (bracket, coefficient) pairs; N_E is 0 on weight k."""
+def _add_conj(acc: DVec, pairs, e: tuple[int, ...], k: int, scale: int = 1) -> None:
+    """acc += scale N_E v, v given as (bracket, coefficient) pairs; N_E is 0 on weight k."""
     if not any(e):
         return
     for seq, coef in pairs:
         if len(seq) < k:
+            coef *= scale
             for s2, c2 in _act_basis(seq, e, k):
                 v = acc.get(s2, 0) + coef * c2
                 if v:
@@ -522,21 +527,28 @@ def _comm_exp_parts(
     return tuple(out.items())
 
 
-def commutator(x: Element, y: Element) -> Element:
-    """[x, y] in closed form: with x = A s and y = B t (s, t derived),
+def _add_comm(acc: DVec, x: Element, y: Element, scale: int = 1) -> None:
+    """acc += scale [x, y], in closed form: with x = A s and y = B t (s, t derived),
 
-        [x, y] = [A, B] + (conj_B - 1) s - (conj_A - 1) t,
+        [x, y] = [A, B] + N_B s - N_A t,    N_E = conj_(a^E) - 1,
 
     every term a derived vector and [A, B] two product formulas
     (_comm_exp_parts), so no element product is collected.
     """
+    k = x.params.nilclass
+    _vadd(acc, dict(_comm_exp_parts(x.params, x.exp, y.exp)), scale)
+    if x.derived:
+        _add_conj(acc, x.derived, y.exp, k, scale)
+    if y.derived:
+        _add_conj(acc, y.derived, x.exp, k, -scale)
+
+
+def commutator(x: Element, y: Element) -> Element:
+    """[x, y] as a derived vector, by _add_comm's closed form."""
     _check_params(x, y)
-    params = x.params
-    out: DVec = dict(_comm_exp_parts(params, x.exp, y.exp))
-    for z, by, sign in ((x, y.exp, 1), (y, x.exp, -1)):
-        if z.derived:
-            _vadd(out, _conj_minus_one(z.dmap(), by, params.nilclass), sign)
-    return _mk(params, (0,) * params.rank, out)
+    out: DVec = {}
+    _add_comm(out, x, y)
+    return _mk(x.params, (0,) * x.params.rank, out)
 
 
 def left_normed(xs: list[Element]) -> Element:

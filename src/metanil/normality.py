@@ -20,7 +20,11 @@ and row (s, b) is the coordinate of the basic b in block s.
 
 Named pivots.  Let m be the least support index of D (m = d at w = 2), T
 the indices of D in ascending order, and T_x the same with one m replaced
-by x.  For s != i, _rewrite sends [a_s, a_i, D] to
+by x.  [a_s, a_i, D] is the generator bracket (s, i) + T, rewritten by
+core._bracket_rule with c1 = s, c2 = i and m = T[0].  It orders the head
+as ±(max(i, s), min(i, s)) (+ when i < s) and keeps the bracket if
+min(i, s) <= m; else [x, y, z] = [y, z, x]^-1 [x, z, y] with z = a_m gives
+two basics headed (min, m) and (max, m).  So for s != i:
 
     R1  i <= m:          ±(max(i, s), min(i, s)) T   (+ when i < s)
     R2  i > m, s <= m:   -(i, s) T
@@ -77,6 +81,7 @@ from .autos import (
 )
 from .core import (
     Element,
+    _bracket_rule,
     _mk,
     commutator,
     enumerate_basics,
@@ -85,6 +90,7 @@ from .core import (
     left_normed,
     left_normed_rep,
     mul,
+    normalize_left_normed,
     power,
     require_enumerable,
 )
@@ -107,18 +113,6 @@ def delta_min(delta: Delta) -> int:
         if v:
             return j
     raise DomainError("the zero function has no least support index")
-
-
-def delta_shift(delta: Delta, j: int, jp: int) -> Delta:
-    """Move one unit of multiplicity from slot j to slot jp."""
-    if j == jp:
-        raise DomainError("shift needs two distinct indices")
-    if not delta[j]:
-        raise DomainError(f"delta({j}) is zero, nothing to shift")
-    out = list(delta)
-    out[j] -= 1
-    out[jp] += 1
-    return tuple(out)
 
 
 def enumerate_deltas(nslots: int, degree: int) -> list[Delta]:
@@ -160,23 +154,19 @@ def normal_closure_top_generators(
     b_idx: int,
     t: int,
     params: GroupParams,
-    subset: set[int] | None = None,
 ) -> list[Element]:
-    """The brackets [a^t b, c_1, ..., c_{k-1}], c_i over the generator subset.
+    """The brackets [a^t b, c_1, ..., c_{k-1}], c_i over the generators.
 
     These generate the intersection of the normal closure of a^t b with the
-    top layer (restricted to the subgroup the subset generates).
+    top layer.
     """
     if a_idx == b_idx:
         raise DomainError("need two distinct generators")
     if params.nilclass <= 1:
         raise DomainError("top-layer generators need class > 1")
-    gens = sorted(subset) if subset is not None else list(range(params.rank))
-    if subset is not None and not {a_idx, b_idx} <= subset:
-        raise DomainError("subset must contain both chosen generators")
     base = mul(power(gen_element(params, a_idx), t), gen_element(params, b_idx))
     out = []
-    for cs in product(gens, repeat=params.nilclass - 1):
+    for cs in product(range(params.rank), repeat=params.nilclass - 1):
         out.append(left_normed([base] + [gen_element(params, c) for c in cs]))
     return out
 
@@ -196,7 +186,7 @@ def closure_membership(
 # --- rewriting products of bracket symbols into the basis ---------------------
 
 
-def _check_assignment(eps: dict, s: int, params: GroupParams) -> int:
+def _check_assignment(eps: dict, s: int, params: GroupParams) -> None:
     d, k = params.rank, params.nilclass
     if not 0 <= s < d:
         raise DomainError(f"head index {s} out of range")
@@ -208,12 +198,13 @@ def _check_assignment(eps: dict, s: int, params: GroupParams) -> int:
             raise DomainError(f"symbol index {i} out of range")
         if len(delta) > d:
             raise DomainError("delta has more slots than generators")
+        if any(v < 0 for v in delta):
+            raise DomainError(f"delta {delta} has a negative multiplicity")
         if delta_degree(delta) != degree:
             raise DomainError(
                 f"delta {delta} has degree {delta_degree(delta)}, ambient class "
                 f"{k} needs degree {degree}"
             )
-    return degree
 
 
 def delta_basis_rewrite(
@@ -221,49 +212,18 @@ def delta_basis_rewrite(
 ) -> list[int]:
     """Top-layer coordinates of prod [a_s, a_i, D]^eps(i, D), symbolically.
 
-    Case split on the head pair and the least support index m of D: heads
-    already in basic position are kept or inverted, and a head below m is
-    repaired through [x, y, z] = [y, z, x]^-1 [x, z, y], which shifts one
-    multiplicity of m onto the displaced index.  Entries with i = s vanish.
+    [a_s, a_i, D] is the left-normed generator bracket (s, i) + T, T the
+    indices of D in ascending order, so each symbol is rewritten by
+    core.normalize_left_normed: kept or inverted when its head is already
+    in basic position, else split once by [x, y, z] = [y, z, x]^-1 [x, z, y]
+    (R1-R3 of the module docstring).  Entries with i = s vanish.
     """
     _check_assignment(eps, s, params)
-    entries = _rewrite(eps, s, params)
-    return [entries.get(seq, 0) for seq in enumerate_basics(params, params.nilclass)]
-
-
-def _rewrite(
-    eps: dict[tuple[int, Delta], int], s: int, params: GroupParams
-) -> dict[tuple[int, ...], int]:
-    """The nonzero coordinates of ``delta_basis_rewrite``, keyed by basic.
-
-    Unchecked: the caller has passed eps and s through _check_assignment,
-    or built them for a shape it checked once.
-    """
-    degree = params.nilclass - 2
     out: dict[tuple[int, ...], int] = {}
-
-    def emit(seq: tuple[int, ...], coef: int) -> None:
-        out[seq] = out.get(seq, 0) + coef
-
     for (i, delta), coef in eps.items():
-        if not coef or i == s:
-            continue
-        delta = tuple(delta) + (0,) * (params.rank - len(delta))
-        if degree == 0:
-            emit((s, i) if i < s else (i, s), coef if i < s else -coef)
-            continue
-        m = delta_min(delta)
-        if i <= m:
-            if i < s:
-                emit((s, i) + _delta_tail(delta), coef)
-            else:
-                emit((i, s) + _delta_tail(delta), -coef)
-        elif s <= m:
-            emit((i, s) + _delta_tail(delta), -coef)
-        else:
-            emit((i, m) + _delta_tail(delta_shift(delta, m, s)), -coef)
-            emit((s, m) + _delta_tail(delta_shift(delta, m, i)), coef)
-    return {seq: coef for seq, coef in out.items() if coef}
+        for seq, x in normalize_left_normed((s, i) + _delta_tail(delta), params).items():
+            out[seq] = out.get(seq, 0) + coef * x
+    return [out.get(seq, 0) for seq in enumerate_basics(params, params.nilclass)]
 
 
 def delta_rewrite_injective(s: int, params: GroupParams) -> tuple[bool, dict]:
@@ -326,7 +286,8 @@ def _layer_system(d: int, w: int) -> tuple[PeeledSystem, tuple[tuple[int, Delta]
     """The weight-w matching system at rank d, on its named pivots, and its (i, D) columns.
 
     Block j (one row per weight-w basic) of column (i, D) holds the
-    coordinates of [a_j, a_i, D], rewritten by delta_basis_rewrite.  Each
+    coordinates of [a_j, a_i, D], the generator bracket (j, i) + T that
+    core._bracket_rule rewrites (R1-R3 of the module docstring).  Each
     column is pivoted on the row the module docstring names, case-2 columns
     first.  A pivot that is not ±1 or an entry off the triangle is an engine
     fault; so is a pivot row named twice, as the earlier of its two columns
@@ -334,13 +295,13 @@ def _layer_system(d: int, w: int) -> tuple[PeeledSystem, tuple[tuple[int, Delta]
     built once.
     """
     params = GroupParams(d, w)
-    _check_assignment({}, 0, params)  # every column below is built for this shape
     row_of = {key: r for r, key in enumerate(product(range(d), enumerate_basics(params, w)))}
     cols = tuple((i, delta) for i in range(d) for delta in enumerate_deltas(d, w - 2))
     rows: list[dict[int, int]] = [{} for _ in row_of]
-    for c, col in enumerate(cols):
+    for c, (i, delta) in enumerate(cols):
+        tail = _delta_tail(delta)
         for j in range(d):
-            for seq, x in _rewrite({col: 1}, j, params).items():
+            for seq, x in _bracket_rule((j, i) + tail):
                 rows[row_of[j, seq]][c] = x
     named = [_pivot(i, delta, d) for i, delta in cols]
     order = sorted(range(len(cols)), key=lambda c: not named[c][0])  # case 2 first

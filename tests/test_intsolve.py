@@ -447,18 +447,20 @@ D100 = (1, 0, 0)
 def test_a_wrong_pivot_is_an_engine_fault(monkeypatch, col, scale, extra):
     # a non-unit named pivot, or an entry of a case-1 column in a case-2
     # pivot row, breaks the triangular solve; building the system must refuse
+    # block 0 of column (i, D) is the generator bracket (0, i) + tail(D), so
+    # the corrupted entry is (0, 1, 0) for non-unit and (0, 0, 0) for off-triangle
     assert rule_pivot(1, D100, 3) == (True, 0, (1, 0, 0))
-    rewrite = normality._rewrite
+    normalize = normality._bracket_rule
 
-    def corrupted(eps, s, params):
-        out = rewrite(eps, s, params)
-        if eps == {col: 1} and s == 0:
-            out = {b: v * scale for b, v in out.items()}
+    def corrupted(seq):
+        out = normalize(seq)
+        if seq == (0, col[0], 0):
+            out = tuple((b, v * scale) for b, v in out)
             if extra is not None:
-                out[extra] = 1
+                out += ((extra, 1),)
         return out
 
-    monkeypatch.setattr(normality, "_rewrite", corrupted)
+    monkeypatch.setattr(normality, "_bracket_rule", corrupted)
     with pytest.raises(EngineFault, match="no unit pivot"):
         _layer_system.__wrapped__(3, 3)
 

@@ -37,7 +37,6 @@ from metanil.normality import (
     delta_degree,
     delta_min,
     delta_rewrite_injective,
-    delta_shift,
     enumerate_deltas,
     eval_delta_comm,
     normal_closure_top_generators,
@@ -62,14 +61,9 @@ P33 = GroupParams(3, 3)
 
 def test_delta_helpers():
     assert delta_min((0, 2, 1)) == 1
-    assert delta_shift((0, 2, 1), 1, 0) == (1, 1, 1)
-    assert delta_degree(delta_shift((0, 2, 1), 1, 0)) == 3
+    assert delta_degree((0, 2, 1)) == 3
     with pytest.raises(DomainError):
         delta_min((0, 0))
-    with pytest.raises(DomainError):
-        delta_shift((0, 2), 0, 1)
-    with pytest.raises(DomainError):
-        delta_shift((0, 2), 1, 1)
 
 
 def test_enumerate_deltas():
@@ -156,8 +150,6 @@ def test_closure_generator_domain_checks():
         normal_closure_top_generators(0, 0, 1, P23)
     with pytest.raises(DomainError):
         normal_closure_top_generators(0, 1, 1, GroupParams(2, 1))
-    with pytest.raises(DomainError):
-        normal_closure_top_generators(0, 1, 1, P33, subset={0, 2})
 
 
 def test_closure_membership():
@@ -237,11 +229,13 @@ def test_rewrite_degree_validation():
         ({(1, (1, 1, 0)): 1}, 0, "degree"),
         ({(1, ()): 1}, 0, "degree"),
         ({(3, (1, 0, 0)): 1}, 0, "symbol index"),
+        ({(1, (2, -1, 0)): 1}, 0, "negative multiplicity"),
     ],
 )
 def test_public_rewrite_checks_what_the_layer_systems_skip(eps, s, match):
-    # _layer_system checks its shape once and rewrites unchecked; the public
-    # rewrite still refuses a bad head, a bad symbol and a wrong degree
+    # _layer_system builds its own columns and rewrites them unchecked; the
+    # public rewrite still refuses a bad head, a bad symbol, a wrong degree
+    # and a negative multiplicity
     with pytest.raises(DomainError, match=match):
         delta_basis_rewrite(eps, s, P33)
 
@@ -256,6 +250,42 @@ def test_rewrite_injectivity_grid(d, k):
         assert cert["rank"] == cert["columns"]
         assert all(v != 0 for v in cert["elementary_divisors"])
     assert all(verdicts)
+
+
+def literal_rule(s, i, delta, d):
+    """[a_s, a_i, D] by R1-R3 of the normality docstring, as {basic: coefficient}."""
+    t = tuple(g for g, reps in enumerate(delta) for _ in range(reps))
+    m = t[0] if t else d
+
+    def t_with(x):  # T with one m replaced by x
+        return tuple(sorted(t[1:] + (x,)))
+
+    if i == s:
+        return {}
+    if i <= m:  # R1
+        return {(max(i, s), min(i, s)) + t: 1 if i < s else -1}
+    if s <= m:  # R2
+        return {(i, s) + t: -1}
+    return {(i, m) + t_with(s): -1, (s, m) + t_with(i): 1}  # R3
+
+
+@pytest.mark.parametrize(
+    "d,w", [(d, w) for d in range(2, 6) for w in range(2, 7)] + [(3, 7), (2, 8)]
+)
+def test_layer_systems_follow_the_stated_rewrite_rules(d, w):
+    # the pivot proof of the normality docstring rests on R1-R3; the columns
+    # come from core's generic bracket rewrite, so every column of every
+    # block must be exactly what the three rules state
+    (rows, _, _), cols = _layer_system(d, w)
+    keys = list(product(range(d), enumerate_basics(GroupParams(d, w), w)))
+    assert len(keys) == len(rows)
+    got = {}
+    for (j, seq), row in zip(keys, rows):
+        for c, x in row.items():
+            got.setdefault((c, j), {})[seq] = x
+    for c, (i, delta) in enumerate(cols):
+        for j in range(d):
+            assert got.get((c, j), {}) == literal_rule(j, i, delta, d), (i, delta, j)
 
 
 # --- the decision procedure ----------------------------------------------------------
@@ -677,7 +707,7 @@ def test_warm_decision_looks_up_no_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("a layer system was rebuilt")
 
-    monkeypatch.setattr(normality, "_rewrite", refuse)
+    monkeypatch.setattr(normality, "_bracket_rule", refuse)
     assert [synthesize_gen_inner(f) for f in (accepted, refused)] == cold
 
 

@@ -111,7 +111,7 @@ def apply_endo(f: AutoSpec, x: Element) -> Element:
                            else _conj_minus_one(images[seq[:-1]], img[seq[-1]].exp, k))
         total: DVec = {}
         for seq, c in x.derived:
-            _vadd(total, images[seq], c)
+            _vadd(total, images[seq].items(), c)
         out = mul(out, derived_element(f.params, total))
     return out
 
@@ -256,7 +256,7 @@ def apply_gen_inner(data: GenInnerData, x: Element) -> Element:
     if data.params != x.params:
         raise DomainError("parameter mismatch between data and element")
     out = x.dmap()
-    _vadd(out, _defect(data, x))
+    _vadd(out, _defect(data, x).items())
     return _mk(data.params, x.exp, out)
 
 
@@ -306,12 +306,12 @@ def flatten(params: GroupParams, terms) -> GenInnerData:
         pairs, derived = _flatten_term(params, exps)
         for z, lam in pairs:
             exp_pairs[z] = exp_pairs.get(z, 0) + lam * eta
-        _vadd(total, dict(derived), eta)
+        _vadd(total, derived, eta)
         if tail[0].derived:
             s1 = {b: c for b, c in tail[0].derived if len(b) <= k - len(tail)}
             for e in exps[1:]:
                 s1 = _conj_minus_one(s1, e, k)
-            _vadd(total, s1, eta)
+            _vadd(total, s1.items(), eta)
     pairs = [(_mk(params, z, {}), lam) for z, lam in exp_pairs.items() if lam]
     pairs.append((derived_element(params, total), 1))
     return GenInnerData(params, tuple(pairs))
@@ -351,7 +351,7 @@ def _flatten_term(
                 out[z] = v
             else:
                 out.pop(z, None)
-        _vadd(derived, dict(dv), sign)
+        _vadd(derived, dv, sign)
     return tuple(out.items()), tuple((b, v) for b, v in derived.items() if len(b) < k)
 
 
@@ -505,7 +505,7 @@ def is_inner(f: AutoSpec) -> Element | None:
         factor, read = _read_off(params, w, defects)
         u = mul(u, factor)
         for a, dm in zip(gens, defects):
-            _vadd(dm, commutator(a, factor).dmap(), -1)
+            _vadd(dm, commutator(a, factor).derived, -1)
     return u
 
 

@@ -62,6 +62,8 @@ def _load_json(arg: str | None) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", 0) from None
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", 0)
     return obj

@@ -163,10 +163,11 @@ def normalize_left_normed(seq, params: GroupParams) -> DVec:
 # --- action of the generators on the derived subgroup -----------------------
 
 
-def _vadd(acc: DVec, src: DVec, scale: int = 1) -> None:
+def _vadd(acc: DVec, pairs, scale: int = 1) -> None:
+    """acc += scale v, v given as (bracket, coefficient) pairs."""
     if not scale:
         return
-    for s, c in src.items():
+    for s, c in pairs:
         v = acc.get(s, 0) + scale * c
         if v:
             acc[s] = v
@@ -196,15 +197,16 @@ def _act_basis(seq: Basic, e: tuple[int, ...], k: int) -> tuple[tuple[Basic, int
     The D_j commute on M', so conj_(a^E) = prod_j (1 + D_j)^E_j.  One block,
     E = c e_j, is the series sum_{r>=1} binom(c, r) D_j^r; a longer E moves
     the bracket through its blocks in turn, each block's images drawn from
-    this same cache.  N_E raises weight, so seq keeps coefficient 1.
+    this same cache.  N_E raises weight, so seq keeps coefficient 1.  For
+    c > 0 the series stops at r = c, since binom(c, r) = 0 past it.
     """
     out: DVec = {seq: 1}
     moving = [(j, c) for j, c in enumerate(e) if c]
     if len(moving) == 1:
         (j, c), = moving
         cur, r = {seq: 1}, 1
-        while cur := _apply_d(cur, j, k):
-            _vadd(out, cur, binom(c, r))
+        while (c < 0 or r <= c) and (cur := _apply_d(cur, j, k)):
+            _vadd(out, cur.items(), binom(c, r))
             r += 1
     else:
         for j, c in moving:
@@ -229,12 +231,15 @@ def _add_conj(acc: DVec, pairs, e: tuple[int, ...], k: int, scale: int = 1) -> N
 
 
 def _hockey(vec: DVec, n: int, step) -> DVec:
-    """sum_{r>=0} binom(n, r+1) N^r vec = sum_{i<n} (1+N)^i vec, N = step nilpotent."""
+    """sum_{r>=0} binom(n, r+1) N^r vec = sum_{i<n} (1+N)^i vec, N = step nilpotent.
+
+    For n >= 0 the series stops at r = n - 1, since binom(n, r+1) = 0 past it.
+    """
     out: DVec = {}
     r = 0
-    while vec:
+    while vec and (n < 0 or r < n):
         r += 1
-        _vadd(out, vec, binom(n, r))
+        _vadd(out, vec.items(), binom(n, r))
         vec = step(vec)
     return out
 
@@ -250,16 +255,12 @@ def _conj_minus_one(vec: DVec, e, k: int) -> DVec:
 def _gen_comm_cached(
     m: int, em: int, j: int, ej: int, k: int
 ) -> tuple[tuple[Basic, int], ...]:
+    """[a_m^em, a_j^ej], m != j, as derived-vector pairs for any integer exponents."""
+    if k < 2:
+        return ()
     base: DVec = {(m, j): 1} if m > j else {(j, m): -1}
     inner = _hockey(base, ej, lambda v: _apply_d(v, j, k))
     return tuple(_hockey(inner, em, lambda v: _apply_d(v, m, k)).items())
-
-
-def _gen_comm(m: int, em: int, j: int, ej: int, k: int) -> DVec:
-    """[a_m^em, a_j^ej] as a derived vector, for arbitrary integer exponents."""
-    if m == j or em == 0 or ej == 0 or k < 2:
-        return {}
-    return dict(_gen_comm_cached(m, em, j, ej, k))
 
 
 # --- elements ----------------------------------------------------------------
@@ -384,17 +385,18 @@ def _rmul_block(exp: list[int], vec: DVec, j: int, c: int, params: GroupParams) 
 
     The old derived part is conjugated by a_j^c.  Moving a_j^c left past the
     heavier generator blocks costs the correction [a_m^{e_m}, a_j^c] for each
-    m > j, conjugated by the blocks a_{m+1}^{e_{m+1}} ... a_{d-1}^{e_{d-1}}
-    it passes on its way to the far right.
+    m > j with e_m != 0, conjugated by the blocks a_{m+1}^{e_{m+1}} ...
+    a_{d-1}^{e_{d-1}} it passes on its way to the far right.
     """
     if c == 0:
         return
     d, k = params.rank, params.nilclass
     _add_conj(vec, list(vec.items()), (0,) * j + (c,) + (0,) * (d - j - 1), k)
     for m in range(j + 1, d):
-        g = _gen_comm(m, exp[m], j, c, k)
-        _vadd(vec, g)
-        _add_conj(vec, g.items(), (0,) * (m + 1) + tuple(exp[m + 1 :]), k)
+        if exp[m]:
+            g = _gen_comm_cached(m, exp[m], j, c, k)
+            _vadd(vec, g)
+            _add_conj(vec, g, (0,) * (m + 1) + tuple(exp[m + 1 :]), k)
     exp[j] += c
 
 
@@ -424,7 +426,7 @@ def _smul(params: GroupParams, x: State, y: State) -> State:
     exp, vec = list(x[0]), dict(x[1])
     for j, c in enumerate(y[0]):
         _rmul_block(exp, vec, j, c, params)
-    _vadd(vec, y[1])
+    _vadd(vec, y[1].items())
     return exp, vec
 
 
@@ -442,6 +444,7 @@ def _power_differences(params: GroupParams, e: tuple[int, ...]) -> tuple[tuple, 
 
     The collected coordinates are a Mal'cev basis, so by P. Hall p_n is a
     polynomial of degree <= k in n: p_n = sum_r binom(n, r) delta_r for all n.
+    Only the nonzero delta_r are kept, as (r, delta_r) pairs.
     """
     pts, x = [{}], ((0,) * params.rank, {})
     for _ in range(params.nilclass):
@@ -450,8 +453,8 @@ def _power_differences(params: GroupParams, e: tuple[int, ...]) -> tuple[tuple, 
     diffs = [{} for _ in pts]
     for r, delta in enumerate(diffs):
         for i in range(r + 1):
-            _vadd(delta, pts[i], (-1) ** (r - i) * math.comb(r, i))
-    return tuple(tuple(delta.items()) for delta in diffs)
+            _vadd(delta, pts[i].items(), (-1) ** (r - i) * math.comb(r, i))
+    return tuple((r, tuple(delta.items())) for r, delta in enumerate(diffs) if delta)
 
 
 def _spow(params: GroupParams, x: State, n: int) -> State:
@@ -460,7 +463,10 @@ def _spow(params: GroupParams, x: State, n: int) -> State:
     With x = A s, A = a^E: (A s)^n = A^n sum_r binom(n, r+1) N_E^r s, A^n the
     Hall polynomial of _power_differences, for n < 0 too.  The k - 1 rounds
     of N_E cost up to k/2 products, so |n| <= (k+1)/2 takes plain products.
+    A generator power (a_j^c)^n = a_j^(nc) is read off, with no product.
     """
+    if not x[1] and sum(map(bool, x[0])) <= 1:
+        return [n * c for c in x[0]], {}
     if 2 * abs(n) <= params.nilclass + 1:
         if n < 0:
             x, n = _sinv(params, x), -n
@@ -470,8 +476,8 @@ def _spow(params: GroupParams, x: State, n: int) -> State:
         return out
     e, k = tuple(x[0]), params.nilclass
     out = _hockey(x[1], n, lambda v: _conj_minus_one(v, e, k))
-    for r, delta in enumerate(_power_differences(params, e)):
-        _vadd(out, dict(delta), binom(n, r))
+    for r, delta in _power_differences(params, e):
+        _vadd(out, delta, binom(n, r))
     return [n * c for c in e], out
 
 
@@ -480,15 +486,25 @@ def text_state(text: str, params: GroupParams) -> State:
 
     Products fold into a collector state, powers take _spow's closed form,
     whose cost does not grow with |n|, and brackets the closed-form commutator.
-    No zero coefficient is stored, so equal states mean equal elements.
+    A bracket whose entries' least weights add up to more than k lies in
+    gamma_(k+1) = 1, so it is the identity and is not evaluated; that covers
+    every bracket of more than k entries.  No zero coefficient is stored, so
+    equal states mean equal elements.
     """
     zero = (0,) * params.rank
+
+    def bracket(parts):
+        xs = [_mk(params, *x) for x in parts]
+        if sum(x.min_weight() for x in xs) > params.nilclass:
+            return zero, {}
+        return _state(left_normed(xs))
+
     ops = WordOps(
         lambda: (zero, {}),
         lambda i: (zero[:i] + (1,) + zero[i + 1 :], {}),
         lambda x, y: _smul(params, x, y),
         lambda x, n: _spow(params, x, n),
-        lambda parts: _state(left_normed([_mk(params, *x) for x in parts])),
+        bracket,
     )
     exp, vec = evaluate(text, params, ops)
     return tuple(exp), vec
@@ -523,7 +539,7 @@ def _comm_exp_parts(
     (a^E a^F) = c(F,E)^-1 c(E,F): two product formulas and no Element.
     """
     out = _smul(params, (e, {}), (f, {}))[1]
-    _vadd(out, _smul(params, (f, {}), (e, {}))[1], -1)
+    _vadd(out, _smul(params, (f, {}), (e, {}))[1].items(), -1)
     return tuple(out.items())
 
 
@@ -536,7 +552,7 @@ def _add_comm(acc: DVec, x: Element, y: Element, scale: int = 1) -> None:
     (_comm_exp_parts), so no element product is collected.
     """
     k = x.params.nilclass
-    _vadd(acc, dict(_comm_exp_parts(x.params, x.exp, y.exp)), scale)
+    _vadd(acc, _comm_exp_parts(x.params, x.exp, y.exp), scale)
     if x.derived:
         _add_conj(acc, x.derived, y.exp, k, scale)
     if y.derived:

@@ -104,7 +104,7 @@ def apply_endo_reference(f, x):
         out = mul(out, power(f.images[i], e))
     total = {}
     for seq, c in x.derived:
-        _vadd(total, left_normed([f.images[b] for b in seq]).dmap(), c)
+        _vadd(total, left_normed([f.images[b] for b in seq]).derived, c)
     return mul(out, derived_element(f.params, total))
 
 
@@ -270,7 +270,7 @@ def apply_gen_inner_reference(data, x):
     """apply_gen_inner with one Element per bracket, multiplied back into x."""
     total = {}
     for u, lam in data.pairs:
-        _vadd(total, commutator(x, u).dmap(), lam)
+        _vadd(total, commutator(x, u).derived, lam)
     return mul(x, derived_element(data.params, total))
 
 

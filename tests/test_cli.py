@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import metanil
 import metanil.core as core
 
 from metanil.cli import main
@@ -118,6 +123,28 @@ def test_nesting_limit(capsys):
     ok = "(" * 200 + "a" + ")" * 200
     code, out, _ = run(capsys, "nf", "--rank", "2", "--class", "3", ok)
     assert code == 0 and out.strip() == "a"
+
+
+@pytest.mark.parametrize("route", ["@path", "-"])
+def test_deep_json_payload_is_a_parse_error(tmp_path, route):
+    # json.loads recurses once per '[': a 200 000-deep payload is a parse
+    # error with a one-line message, not a traceback, through a file and stdin
+    deep = "[" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    arg = f"@{path}" if route == "@path" else "-"
+    src = str(Path(metanil.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "metanil.cli", "synthesize", "--rank", "2", "--class", "3", arg],
+        input=deep if route == "-" else "",
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
 
 
 def test_is_inner_flow(capsys):

@@ -12,12 +12,14 @@ from metanil.core import (
     _apply_d,
     _comm_exp_parts,
     _conj_minus_one,
-    _gen_comm,
+    _gen_comm_cached,
+    _hockey,
     _mk,
     _power_differences,
     _vadd,
     _sinv,
     _smul,
+    _spow,
     _state,
     all_basics,
     basis_size,
@@ -43,7 +45,7 @@ from metanil.core import (
     truncate_weight,
 )
 from metanil.magnus import oracle_equal
-from metanil.words import DomainError, GroupParams, parse_word
+from metanil.words import DomainError, GroupParams, generator_name, parse_word
 from metanil.verify import random_derived_element, random_element, random_gen_inner, random_word
 
 P23 = GroupParams(2, 3)
@@ -529,6 +531,154 @@ def test_power_texts_agree_with_the_oracle():
     assert verdicts.count(True) == 25
 
 
+# --- work that is zero by construction is skipped ----------------------------------
+
+
+def test_hockey_stops_at_its_last_nonzero_binomial():
+    # binom(n, r+1) = 0 for r >= n >= 0: an n >= 0 series takes n steps, not
+    # one per weight up to the class, and sums to the full series
+    k = 40
+    calls = []
+
+    def step(v):
+        calls.append(1)
+        return _apply_d(v, 0, k)
+
+    for n in (0, 1, 2, 3, 7):
+        calls.clear()
+        full, cur, r = {}, {(1, 0): 1}, 0
+        while cur:
+            r += 1
+            _vadd(full, cur.items(), binom(n, r))
+            cur = _apply_d(cur, 0, k)
+        assert _hockey({(1, 0): 1}, n, step) == full, n
+        assert len(calls) == n
+    calls.clear()
+    _hockey({(1, 0): 1}, -2, step)
+    assert len(calls) == k - 1
+
+
+def test_one_block_action_stops_at_its_last_nonzero_binomial(monkeypatch):
+    # N_(c e_j) seq = sum_{r=1..c} binom(c, r) D_j^r seq for c >= 0: c
+    # applications of D_j, not one per weight up to the class
+    import metanil.core as core
+
+    k, apply_d, calls = 40, core._apply_d, []
+
+    def counted(v, j, kk):
+        calls.append(1)
+        return apply_d(v, j, kk)
+
+    monkeypatch.setattr(core, "_apply_d", counted)
+    for c, steps in ((1, 1), (2, 2), (3, 3), (7, 7), (-2, k - 1)):
+        metanil.clear_caches()
+        calls.clear()
+        got = dict(core._act_basis((1, 0), (c, 0), k))
+        assert len(calls) == steps, c
+        assert got == chained_n({(1, 0): 1}, (c, 0), k), c
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 5), (4, 4), (2, 8)])
+def test_powers_with_empty_derived_part_match_the_squaring_reference(d, k, monkeypatch):
+    # a^n, (a^2)^n and (a b)^n against squaring; a generator power such as
+    # a^n or (a^2)^n is read off and collects no product, cold or warm
+    import metanil.core as core
+
+    params = GroupParams(d, k)
+    exps = [1, 2, k + 1, 10**18]
+    exps = [0] + exps + [-n for n in exps]
+    gens = [generator_name(i) for i in range(d)]
+    metanil.clear_caches()
+    for _ in ("cold", "warm"):
+        for base in gens + ["a^2", "a b"]:
+            x = text_state(base, params)
+            assert not x[1]
+            for n in exps:
+                expect = _mk(params, *squaring_power(params, x, n))
+                assert _mk(params, *_spow(params, x, n)) == expect, (base, n)
+                assert collect_text(f"({base})^{n}", params) == expect, (base, n)
+
+    def refuse(*args):
+        raise AssertionError("a product was collected")
+
+    metanil.clear_caches()
+    monkeypatch.setattr(core, "_smul", refuse)
+    monkeypatch.setattr(core, "_sinv", refuse)
+    for g, n in product(gens + ["a^2"], exps):
+        e = text_state(g, params)[0]
+        assert text_state(f"({g})^{n}", params) == (tuple(n * c for c in e), {})
+
+
+def test_small_powers_of_a_product_take_plain_products(monkeypatch):
+    # |n| <= (k+1)/2 multiplies: (a b)^n builds no Hall polynomial, whose
+    # k products and k^2 differences would dominate at a large class
+    import metanil.core as core
+
+    def refuse(*args):
+        raise AssertionError("a Hall polynomial was built")
+
+    monkeypatch.setattr(core, "_power_differences", refuse)
+    for k in (5, 12):
+        params = GroupParams(2, k)
+        x = text_state("a b", params)
+        for n in range(-((k + 1) // 2), (k + 1) // 2 + 1):
+            assert _mk(params, *_spow(params, x, n)) == _mk(params, *squaring_power(params, x, n))
+    assert text_state("(a b)^2", GroupParams(2, 20000)) == ((2, 2), {(1, 0): 1, (1, 0, 1): 1})
+    assert text_state("b^-1", GroupParams(2, 20000)) == ((0, -1), {})
+
+
+@pytest.mark.parametrize("d,k", [(3, 5), (4, 4), (5, 3)])
+def test_products_past_zero_blocks_match_the_chained_blocks(d, k):
+    # _rmul_block skips each heavier block of exponent 0: states with zero
+    # blocks on both sides, against the chained reference, cold and warm
+    params = GroupParams(d, k)
+    rng = random.Random(31 * d + k)
+    metanil.clear_caches()
+    for _ in ("cold", "warm"):
+        for t in range(8):
+            x, y = (module_sample(rng, params) for _ in range(2))
+            zx = [rng.random() < 0.5 for _ in range(d)]
+            zy = [rng.random() < 0.5 for _ in range(d)]
+            x = (tuple(0 if z else e for z, e in zip(zx, x[0])), x[1])
+            y = (tuple(0 if z else e for z, e in zip(zy, y[0])), {} if t % 2 else y[1])
+            assert _mk(params, *_smul(params, x, y)) == _mk(params, *chained_mul(params, x, y))
+
+
+# Brackets at P35 (k = 5), whose entries' least weights add up to exactly k
+# (evaluated) or to k + 1 (the identity, never evaluated).
+BRACKETS_AT_K = ["[c,a,a,b,b]", "[[c,a], a, b, b]", "[[c,a] [c,b,b], b c, a, b^2]"]
+BRACKETS_PAST_K = [
+    "[a,b,c,a,b,c]",
+    "[[c,a], a, b, b, c]",
+    "[[c,a] [c,b,b], [b,c], a, b^2]",
+    "[[c,a,b], a^2 [b,c], [c,b]]",
+]
+
+
+def test_brackets_at_and_past_the_class_agree_with_the_oracle():
+    metanil.clear_caches()
+    for _ in ("cold", "warm"):
+        for text in BRACKETS_AT_K + BRACKETS_PAST_K:
+            trivial = text_state(text, P35) == text_state("", P35)
+            assert trivial == (text in BRACKETS_PAST_K), text
+            assert trivial == oracle_equal(parse_word(text, P35), parse_word("", P35), P35)
+            assert collect_text(text, P35) == collect(parse_word(text, P35), P35), text
+
+
+def test_brackets_past_the_class_are_not_evaluated(monkeypatch):
+    # k + 1 entries, none of them a bracket, so no left_normed call at all
+    import metanil.core as core
+
+    def refuse(xs):
+        raise AssertionError("a bracket was evaluated")
+
+    monkeypatch.setattr(core, "left_normed", refuse)
+    for text in ("[a,b,c,a,b,c]", "[a b, c, a^2 b, c, a, b^-1]", "[(c a)^3, b, c, a, b, a]"):
+        assert text_state(text, P35) == ((0, 0, 0), {})
+    with pytest.raises(AssertionError):
+        text_state(BRACKETS_AT_K[0], P35)
+
+
 # --- the module action: differential check against the chained N_E ---------------
 #
 # The reference conjugates by a^E one generator block at a time, each block
@@ -544,7 +694,7 @@ def chained_conj(vec, e, k):
             for seq, coef in vec.items():
                 cur, r = {seq: coef}, 0
                 while cur:
-                    _vadd(out, cur, binom(c, r))
+                    _vadd(out, cur.items(), binom(c, r))
                     cur, r = _apply_d(cur, j, k), r + 1
             vec = out
     return dict(vec)
@@ -552,7 +702,7 @@ def chained_conj(vec, e, k):
 
 def chained_n(vec, e, k):
     out = chained_conj(vec, e, k)
-    _vadd(out, vec, -1)
+    _vadd(out, vec.items(), -1)
     return out
 
 
@@ -564,9 +714,10 @@ def chained_mul(params, x, y):
             vec = chained_conj(vec, tuple(c if i == j else 0 for i in range(d)), k)
             for m in range(j + 1, d):
                 suffix = (0,) * (m + 1) + tuple(exp[m + 1 :])
-                _vadd(vec, chained_conj(_gen_comm(m, exp[m], j, c, k), suffix, k))
+                g = chained_conj(dict(_gen_comm_cached(m, exp[m], j, c, k)), suffix, k)
+                _vadd(vec, g.items())
             exp[j] += c
-    _vadd(vec, y[1])
+    _vadd(vec, y[1].items())
     return tuple(exp), vec
 
 

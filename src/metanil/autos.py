@@ -51,9 +51,9 @@ from .core import (
     inverse,
     json_int,
     mul,
+    payload_params,
     power,
     require_enumerable,
-    truncate_weight,
 )
 from .words import DomainError, EngineFault, GroupParams
 
@@ -171,8 +171,7 @@ def spec_to_json(f: AutoSpec) -> dict:
 
 
 def spec_from_json(obj: dict, params: GroupParams | None = None) -> AutoSpec:
-    if "rank" in obj and "class" in obj:
-        params = GroupParams(json_int(obj["rank"]), json_int(obj["class"]))
+    params = payload_params(obj, params)
     if params is None:
         if not obj["images"]:
             raise DomainError("cannot infer group parameters from an empty spec")
@@ -197,41 +196,39 @@ class GenInnerData:
     pairs: tuple[tuple[Element, int], ...] = ()
 
     def __post_init__(self):
-        # Canonical storage.  [x, u] only sees u modulo the top layer, so u is
-        # stripped of its weight-k components; [x, A s] = [x, A][x, s] splits
-        # every u into its exponent part A and derived part s exactly, and
-        # [x, s]^lam = [x, lam*s] is linear, so all derived content collapses
-        # into a single trailing pair.  Exponent parts merge in
-        # first-occurrence order (the product order matters for the class-2
-        # conjugator).
-        k = self.params.nilclass
+        # [x, A s] = [x, A][x, s] splits u into its exponent part A and derived
+        # part s, and [x, s]^lam = [x, lam*s] is linear: merge the A's, add the s's
         zero = (0,) * self.params.rank
         exp_pairs: dict[tuple[int, ...], int] = {}
-        t_total: DVec = {}
+        derived: DVec = {}
         for u, lam in self.pairs:
             if u.params != self.params:
                 raise DomainError("pair parameters do not match")
             if not lam:
                 continue
-            u = truncate_weight(u, k - 1)
-            for s, c in u.derived:
-                v = t_total.get(s, 0) + lam * c
-                if v:
-                    t_total[s] = v
-                else:
-                    t_total.pop(s, None)
+            _vadd(derived, u.derived, lam)
             if u.exp != zero:
                 exp_pairs[u.exp] = exp_pairs.get(u.exp, 0) + lam
-        cleaned = [
-            (_mk(self.params, z, {}), lam) for z, lam in exp_pairs.items() if lam
-        ]
-        if t_total:
-            cleaned.append((_mk(self.params, zero, t_total), 1))
-        object.__setattr__(self, "pairs", tuple(cleaned))
+        object.__setattr__(self, "pairs", _gen_inner(self.params, exp_pairs, derived).pairs)
 
     @property
     def is_empty(self) -> bool:
         return not self.pairs
+
+
+def _gen_inner(params: GroupParams, exp_pairs: dict, derived: DVec) -> GenInnerData:
+    """Trusted constructor from merged sums: the exponents with nonzero lambda
+    in exp_pairs order (first occurrence; the class-2 conjugator depends on
+    it), then the derived sum as one pair.  [x, u] sees u only modulo
+    gamma_k, so brackets of weight k are dropped."""
+    pairs = [(_mk(params, z, {}), lam) for z, lam in exp_pairs.items() if lam]
+    low = {s: c for s, c in derived.items() if len(s) < params.nilclass}
+    if low:
+        pairs.append((derived_element(params, low), 1))
+    data = object.__new__(GenInnerData)
+    object.__setattr__(data, "params", params)
+    object.__setattr__(data, "pairs", tuple(pairs))
+    return data
 
 
 def _defect(data: GenInnerData, x: Element) -> DVec:
@@ -279,9 +276,8 @@ def flatten(params: GroupParams, terms) -> GenInnerData:
     tuples, the second one derived pair.  A term has weight at least
     1 + sum of the tail weights, so terms whose bound exceeds the class are
     dead and skipped, and s_1 only matters modulo weight k - s.  The
-    expansions are summed straight into the canonical form of GenInnerData:
-    exponents in order of first occurrence, all derived content in one
-    trailing pair.
+    expansions are summed by exponent and into one derived vector, which
+    _gen_inner stores as they are.
     """
     k = params.nilclass
     exp_pairs: dict[tuple[int, ...], int] = {}
@@ -312,9 +308,7 @@ def flatten(params: GroupParams, terms) -> GenInnerData:
             for e in exps[1:]:
                 s1 = _conj_minus_one(s1, e, k)
             _vadd(total, s1.items(), eta)
-    pairs = [(_mk(params, z, {}), lam) for z, lam in exp_pairs.items() if lam]
-    pairs.append((derived_element(params, total), 1))
-    return GenInnerData(params, tuple(pairs))
+    return _gen_inner(params, exp_pairs, total)
 
 
 @lru_cache(maxsize=1 << 15)
@@ -435,8 +429,7 @@ def gen_inner_to_json(data: GenInnerData) -> dict:
 
 
 def gen_inner_from_json(obj: dict, params: GroupParams | None = None) -> GenInnerData:
-    if "rank" in obj and "class" in obj:
-        params = GroupParams(json_int(obj["rank"]), json_int(obj["class"]))
+    params = payload_params(obj, params)
     pairs = []
     for item in obj.get("pairs", ()):
         u = element_from_json(item["u"], params)

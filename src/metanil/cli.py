@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 parse error (word text or JSON),
 3 domain error, 4 verification failure, 5 internal error (an engine
-self-check failed).  Specs and data are passed as JSON:
-inline, as @path, or as '-' for stdin.
+self-check failed).  Specs and data are passed as JSON, and apply's element
+as a word or element JSON: inline, as @path, or as '-' for stdin.  Every JSON
+text goes through one decoder, so a malformed or too deeply nested one is a
+parse error (exit 2).  A payload that names rank or class must name both and
+overrides --rank/--class; one that names neither takes them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .autos import (
     spec_from_json,
     spec_to_json,
 )
-from .core import collect_text, element_from_text, element_to_json, text_state
+from .core import collect_text, element_from_json, element_to_json, text_state
 from .normality import NotGeneralizedInner, synthesize_gen_inner
 from .verify import SUITES, CliConfig, oracle_selftest, verify_paper
 from .words import DomainError, EngineFault, GroupParams, ParseError
@@ -56,8 +59,7 @@ def _payload(arg: str | None) -> str:
     return arg
 
 
-def _load_json(arg: str | None) -> dict:
-    text = _payload(arg)
+def _load_json(text: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -71,7 +73,7 @@ def _load_json(arg: str | None) -> dict:
 
 def _load_map(arg: str | None, params: GroupParams):
     """An automorphism payload: AutoSpec ('images') or pair data ('pairs')."""
-    obj = _load_json(arg)
+    obj = _load_json(_payload(arg))
     if "images" in obj:
         return spec_from_json(obj, params)
     if "pairs" in obj:
@@ -109,7 +111,8 @@ def _eq(args, params):
 
 def _apply(args, params):
     mapping = _load_map(args.spec, params)
-    x = element_from_text(_payload(args.element), params)
+    text = _payload(args.element).strip()
+    x = element_from_json(_load_json(text) if text.startswith("{") else text, params)
     apply = apply_gen_inner if isinstance(mapping, GenInnerData) else apply_endo
     _print_element(apply(mapping, x), args.json)
 

@@ -644,16 +644,24 @@ def json_int(value) -> int:
     return value
 
 
+def payload_params(obj: dict, params: GroupParams | None) -> GroupParams | None:
+    """The group of a payload object: its own when it names rank or class (then
+    it must name both), else the caller's params."""
+    if "rank" in obj or "class" in obj:
+        return GroupParams(json_int(obj["rank"]), json_int(obj["class"]))
+    return params
+
+
 def element_from_json(obj, params: GroupParams | None = None) -> Element:
-    """Accepts the Element schema, or a plain word string when params are given."""
-    if isinstance(obj, str):
-        if params is None:
-            raise DomainError("a word string needs explicit group parameters")
-        return collect_text(obj, params)
-    if not isinstance(obj, dict):
+    """Accepts the Element schema, or a plain word string; either needs a group."""
+    if isinstance(obj, dict):
+        params = payload_params(obj, params)
+    elif not isinstance(obj, str):
         raise DomainError("element JSON must be an object or a word string")
-    if "rank" in obj or "class" in obj or params is None:
-        params = GroupParams(json_int(obj["rank"]), json_int(obj["class"]))
+    if params is None:
+        raise DomainError("an element needs explicit group parameters")
+    if isinstance(obj, str):
+        return collect_text(obj, params)
     vec: DVec = {}
     for t in obj.get("derived", []):
         seq = tuple(json_int(b) for b in t["seq"])
@@ -664,11 +672,3 @@ def element_from_json(obj, params: GroupParams | None = None) -> Element:
     )
     # the public constructor validates shape, weight and order
     return Element(params, tuple(exp), derived)
-
-
-def element_from_text(text: str, params: GroupParams) -> Element:
-    """Parse either JSON or word syntax, whichever fits."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return element_from_json(json.loads(stripped), params)
-    return collect_text(stripped, params)

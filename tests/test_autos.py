@@ -444,14 +444,25 @@ def test_flatten_matches_the_element_recursion(rank, classes):
     # first-occurrence order of the exponents may differ where two distinct
     # Element products share an exponent vector (the reference keeps them
     # apart); on the terms compose, invert and synthesize build it has not,
-    # which the caller test below checks pair for pair.
+    # which the caller test below checks pair for pair.  The outputs of
+    # flatten, compose and invert (on the terms' elements as pair data) are
+    # already stored form: the public constructor leaves them as they are,
+    # and no stored bracket reaches weight k, which [x, u] cannot see.
     rng = random.Random(rank)
     for k in classes:
         params = GroupParams(rank, k)
-        for _ in range(8):
-            terms = mixed_terms(rng, params)
+        # N_(a^2) [b,a,...,a] of weight k - 2 reaches weight k, which only
+        # the final truncation of the pair data removes
+        pushed = derived_element(params, {(1,) + (0,) * (k - 3): 1})
+        edge = [((pushed, gen_element(params, 0, 2)), 1)] if k >= 4 else []
+        for n in range(8):
+            terms = (edge if n == 0 else []) + mixed_terms(rng, params)
             got, want = flatten(params, terms), flatten_reference(params, terms)
             assert dict(got.pairs) == dict(want.pairs), (params, terms)
+            data = GenInnerData(params, tuple((v, eta) for tail, eta in terms for v in tail))
+            for out in (got, compose_gen_inner(data, data), invert_gen_inner(data)):
+                assert GenInnerData(params, out.pairs) == out, (params, terms)
+                assert all(len(b) < k for u, _ in out.pairs for b, _ in u.derived)
 
 
 def test_flatten_edge_cases_match_the_element_recursion_pair_for_pair():

@@ -125,17 +125,22 @@ def test_nesting_limit(capsys):
     assert code == 0 and out.strip() == "a"
 
 
-@pytest.mark.parametrize("route", ["@path", "-"])
+@pytest.mark.parametrize("route", ["@path", "-", "apply-element-@path"])
 def test_deep_json_payload_is_a_parse_error(tmp_path, route):
     # json.loads recurses once per '[': a 200 000-deep payload is a parse
-    # error with a one-line message, not a traceback, through a file and stdin
+    # error with a one-line message, not a traceback, through a file, stdin
+    # and apply's element argument
     deep = "[" * 200_000
+    argv = ["synthesize"]
+    if route == "apply-element-@path":
+        deep = '{"exp": ' + deep
+        argv = ["apply", '{"images": ["a", "b"]}']
     path = tmp_path / "deep.json"
     path.write_text(deep)
-    arg = f"@{path}" if route == "@path" else "-"
+    arg = "-" if route == "-" else f"@{path}"
     src = str(Path(metanil.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "metanil.cli", "synthesize", "--rank", "2", "--class", "3", arg],
+        [sys.executable, "-m", "metanil.cli", *argv, "--rank", "2", "--class", "3", arg],
         input=deep if route == "-" else "",
         capture_output=True,
         text=True,
@@ -144,7 +149,64 @@ def test_deep_json_payload_is_a_parse_error(tmp_path, route):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr == "parse error: invalid JSON: nested too deeply (at position 0)\n"
+
+
+# The group of an element, spec or pair payload: one that names rank or class
+# must name both and is read at its own group (here class 2); one that names
+# neither is read at --rank 2 --class 3.
+_GROUP_KEYS = {
+    "rank only": {"rank": 2},
+    "class only": {"class": 2},
+    "both": {"rank": 2, "class": 2},
+    "neither": {},
+}
+_MISSING = {"rank only": (2, "", "parse error: invalid payload: 'class'\n"),
+            "class only": (2, "", "parse error: invalid payload: 'rank'\n")}
+_PAYLOAD_GROUP_CASES = [
+    # apply the generator swap to a (a rank-2 class-2 element cannot meet the
+    # class-3 spec)
+    ("element", ("apply", '{"images": ["b", "a"]}'), {"exp": [1, 0]}, {
+        "both": (3, "", "domain error: parameter mismatch between spec and element\n"),
+        "neither": (0, "b\n", ""),
+    }),
+    # [b,a,a] dies in class 2, where every map is inner
+    ("spec", ("is-inner",), {"images": ["a", "b [b,a,a]"]}, {
+        "both": (0, "inner: conjugation by 1\n", ""),
+        "neither": (0, "not inner\n", ""),
+    }),
+    # x -> x [x,a]^2 is conjugation by a^2 only below class 3
+    ("pairs", ("is-inner",), {"pairs": [{"u": "a", "lambda": 2}]}, {
+        "both": (0, "inner: conjugation by a^2\n", ""),
+        "neither": (0, "not inner\n", ""),
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, payload, want",
+    [
+        pytest.param(
+            argv,
+            json.dumps({**keys, **body}),
+            {**_MISSING, **outcomes}[name],
+            id=f"{kind}-{name.replace(' ', '-')}",
+        )
+        for kind, argv, body, outcomes in _PAYLOAD_GROUP_CASES
+        for name, keys in _GROUP_KEYS.items()
+    ]
+    + [
+        pytest.param(
+            ("apply", '{"images": ["b", "a"]}'),
+            '{"exp": [1,',
+            (2, "", "parse error: invalid JSON: Expecting value (at position 11)\n"),
+            id="element-malformed",
+        )
+    ],
+)
+def test_payload_group_is_both_keys_or_the_options(capsys, argv, payload, want):
+    verb, *rest = argv
+    assert run(capsys, verb, "--rank", "2", "--class", "3", *rest, payload) == want
 
 
 def test_is_inner_flow(capsys):

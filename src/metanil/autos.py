@@ -15,13 +15,16 @@ N_E = conj_(a^E) - 1.  The pure-exponent bracket is expanded by
 [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz] on exponent tuples alone, and cached
 on them.  compose_gen_inner is this product, invert_gen_inner the finite
 series sum_r (-A)^r, and the solved bracket symbols of the decision are
-flattened the same way.  A map is applied on derived vectors too: every
-bracket [x, u] is a derived vector by core's closed form (core._add_comm),
-and _defect sums them over the pairs into x^-1 f(x) with no Element built
-per bracket.  Data equality is not canonical for these maps, so the
-official equivalence everywhere is extensional (equal gen_inner_to_spec
-images); the stored pair list is only brought to a normal form that the
-bracket cannot distinguish from the input.
+flattened the same way.  A pair D in M' only heads a tail: past the head
+the bracket lies in the abelian M', so [x, v_1, ..., D, ...] = 1.  The
+inverse sums its exponent heads by expansion and the derived head as
+sum_r (-1)^r lambda L^(r-1) s, L = sum_j lambda_j N_E_j.  A map is applied
+on derived vectors too: every bracket [x, u] is a derived vector by core's
+closed form (core._add_comm), and _defect sums them over the pairs into
+x^-1 f(x) with no Element built per bracket.  Data equality is not
+canonical for these maps, so the official equivalence everywhere is
+extensional (equal gen_inner_to_spec images); the stored pair list is only
+brought to a normal form that the bracket cannot distinguish from the input.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .core import (
     DVec,
     Element,
     _add_comm,
+    _add_conj,
     _conj_minus_one,
     _mk,
     _smul,
@@ -358,12 +362,15 @@ def compose_gen_inner(psi: GenInnerData, phi: GenInnerData) -> GenInnerData:
                       * prod prod [x,u_i,v_j]^(mu(i)eta(j)).
 
     The cross terms keep their visible weight, and those past the class are
-    skipped.  phi, psi and the flattened cross block are concatenated in
-    that order, which fixes the order of the output pairs.
+    skipped, as are those whose v_j lies in M': [x, u_i] is in M' too, and
+    M' is abelian.  phi, psi and the flattened cross block are concatenated
+    in that order, which fixes the order of the output pairs.
     """
     if psi.params != phi.params:
         raise DomainError("parameter mismatch between data")
-    cross = [((u, v), mu * eta) for u, mu in phi.pairs for v, eta in psi.pairs]
+    cross = [
+        ((u, v), mu * eta) for u, mu in phi.pairs for v, eta in psi.pairs if any(v.exp)
+    ]
     return GenInnerData(
         psi.params, phi.pairs + psi.pairs + flatten(psi.params, cross).pairs
     )
@@ -379,6 +386,13 @@ def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
     ([m, v, w] = [m, w, v] for m in M'), so each term is one first pair and
     a multiset of the rest, weighted by its multinomial count.
 
+    The stored pair in M' only heads a tail: past the head the bracket lies
+    in the abelian M', so [x, v_1, ..., D, ...] = 1.  An exponent head a^E
+    with rest multiset R adds _flatten_term of (E,) + R.  The derived head
+    D = (t, lambda) adds sum_r (-1)^r lambda L^(r-1) t with
+    L = sum_j lambda_j N_(E_j) over the exponent pairs: the N_E commute on
+    M', so the multinomial weights of the multisets are the powers of L.
+
     If phi moves every generator by an element of weight >= s + 1, then A
     maps gamma_j into gamma_(j+s), so psi o phi = 1 - (-A)^(r_max + 1) is
     the identity once r_max = (k - 1) // s; the series stops there.
@@ -387,19 +401,39 @@ def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
     k = params.nilclass
     gens = [gen_element(params, i) for i in range(params.rank)]
     s = min(min(map(len, _defect(phi, a)), default=k + 1) for a in gens) - 1
-    terms: list[tuple[tuple[Element, ...], int]] = []
-    for r in range(1, (k - 1) // s + 1):
+    r_max = (k - 1) // s
+    exps = [(u.exp, lam) for u, lam in phi.pairs if any(u.exp)]
+    exp_pairs: dict[tuple[int, ...], int] = {}
+    total: DVec = {}
+    # loop order r, head, rest fixes the first occurrence of each exponent
+    for r in range(1, r_max + 1):
         rests = []
-        for rest in combinations_with_replacement(range(len(phi.pairs)), r - 1):
+        for rest in combinations_with_replacement(range(len(exps)), r - 1):
             count = math.factorial(r - 1)
             for m in Counter(rest).values():
                 count //= math.factorial(m)
-            tail = tuple(phi.pairs[j][0] for j in rest)
-            rests.append((tail, count * math.prod(phi.pairs[j][1] for j in rest)))
-        terms.extend(
-            ((u, *tail), (-1) ** r * lam * c) for u, lam in phi.pairs for tail, c in rests
-        )
-    psi = flatten(params, terms)
+            tail = tuple(exps[j][0] for j in rest)
+            rests.append((tail, count * math.prod(exps[j][1] for j in rest)))
+        for e, lam in exps:
+            for tail, c in rests:
+                eta = (-1) ** r * lam * c
+                pairs, derived = _flatten_term(params, (e,) + tail)
+                for z, mu in pairs:
+                    exp_pairs[z] = exp_pairs.get(z, 0) + mu * eta
+                _vadd(total, derived, eta)
+    for u, lam in phi.pairs:
+        if any(u.exp):
+            continue
+        power_t = u.dmap()  # L^(r-1) t, cut below weight k
+        for r in range(1, r_max + 1):
+            if not power_t:
+                break
+            _vadd(total, power_t.items(), (-1) ** r * lam)
+            step: DVec = {}
+            for e, mu in exps:
+                _add_conj(step, power_t.items(), e, k, mu)
+            power_t = {b: c for b, c in step.items() if len(b) < k}
+    psi = _gen_inner(params, exp_pairs, total)
     # phi is an automorphism, so phi o psi = 1 iff psi o phi = 1; this side
     # applies phi's few pairs rather than psi's many
     psi_images = gen_inner_to_spec(psi).images

@@ -284,7 +284,7 @@ class Element:
             raise DomainError("exponent vector length does not match rank")
         prev = None
         for seq, c in self.derived:
-            if not is_basic(seq) or max(seq) >= self.params.rank:
+            if not is_basic(seq) or min(seq) < 0 or max(seq) >= self.params.rank:
                 raise DomainError(f"{seq} is not a basic commutator here")
             if len(seq) > self.params.nilclass:
                 raise DomainError(
@@ -352,10 +352,10 @@ def truncate_weight(x: Element, w: int) -> Element:
     computation (they sit in gamma_{w+1}); for w = 0 the exponent part is
     dropped too.
     """
-    if w >= x.params.nilclass or not x.derived or len(x.derived[-1][0]) <= w:
-        return x
     if w < 1:
         return identity(x.params)
+    if w >= x.params.nilclass or not x.derived or len(x.derived[-1][0]) <= w:
+        return x
     return _mk(x.params, x.exp, {s: c for s, c in x.derived if len(s) <= w})
 
 

@@ -1,5 +1,9 @@
+import json
+import math
 import random
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -529,7 +533,8 @@ def test_flatten_checks_every_element_and_prunes_as_before():
 )
 def test_callers_match_the_element_recursion_pair_for_pair(monkeypatch, shape):
     # invert, compose and synthesize give the same data, pairs in order, as
-    # with the reference expansion in place of flatten
+    # with the reference expansion in place of flatten (for invert, over the
+    # full term list)
     params = GroupParams(*shape)
     rng = random.Random(f"flatten/{shape}")
     for _ in range(4):
@@ -539,18 +544,16 @@ def test_callers_match_the_element_recursion_pair_for_pair(monkeypatch, shape):
         psi = random_gen_inner(rng, params)
         spec = gen_inner_to_spec(phi)
 
-        def results():
-            return (
-                invert_gen_inner(phi),
-                compose_gen_inner(psi, phi),
-                synthesize_gen_inner(spec),
-            )
-
-        got = results()
+        got = (invert_gen_inner(phi), compose_gen_inner(psi, phi), synthesize_gen_inner(spec))
         with monkeypatch.context() as m:
             m.setattr(autos, "flatten", flatten_reference)
             m.setattr(normality, "flatten", flatten_reference)
-            assert got == results()
+            want = (
+                invert_by_term_list(phi, flatten_reference),
+                compose_gen_inner(psi, phi),
+                synthesize_gen_inner(spec),
+            )
+            assert got == want
         comp = compose_endo(gen_inner_to_spec(psi), spec)
         assert gen_inner_to_spec(got[1]).images == comp.images
 
@@ -616,6 +619,76 @@ def heavy_pair_data(rng, params):
             (random_derived_element(rng, params), 1),
         ),
     )
+
+
+def invert_by_term_list(phi, flat=flatten):
+    """The reference for invert_gen_inner: every r-tail of pairs as one term.
+
+    The series sum_r (-A)^r is written out as (tail, coefficient) terms, one
+    head pair and a multiset of the rest with its multinomial count, over
+    all pairs, and flattened in one call.  Tails with the pair in M' past
+    the head are 1 by construction; they stay in the list.
+    """
+    params = phi.params
+    k = params.nilclass
+    gens = [gen_element(params, i) for i in range(params.rank)]
+    s = min(min(map(len, autos._defect(phi, a)), default=k + 1) for a in gens) - 1
+    terms = []
+    for r in range(1, (k - 1) // s + 1):
+        rests = []
+        for rest in combinations_with_replacement(range(len(phi.pairs)), r - 1):
+            count = math.factorial(r - 1)
+            for m in Counter(rest).values():
+                count //= math.factorial(m)
+            tail = tuple(phi.pairs[j][0] for j in rest)
+            rests.append((tail, count * math.prod(phi.pairs[j][1] for j in rest)))
+        terms.extend(
+            ((u, *tail), (-1) ** r * lam * c) for u, lam in phi.pairs for tail, c in rests
+        )
+    return flat(params, terms)
+
+
+def compose_every_cross_term(psi, phi):
+    """The reference for compose_gen_inner: every cross term [x, u_i, v_j]
+    is flattened, those with v_j in M' (which are 1) included."""
+    cross = [((u, v), mu * eta) for u, mu in phi.pairs for v, eta in psi.pairs]
+    return GenInnerData(psi.params, phi.pairs + psi.pairs + flatten(psi.params, cross).pairs)
+
+
+def pair_data_kinds(rng, params):
+    """Light, derived-only, light-plus-derived and heavy pair data at params."""
+    maps = [random_gen_inner(rng, params, max_pairs=4) for _ in range(2)]
+    if params.rank >= 2 and params.nilclass >= 2:
+        derived = random_derived_element(rng, params)
+        maps.append(GenInnerData(params, ((derived, rng.choice([-2, 1, 3])),)))
+        light = random_gen_inner(rng, params, max_pairs=3)
+        maps.append(GenInnerData(params, light.pairs + ((derived, 1),)))
+        if params.nilclass <= 6:  # a heavy map at (2,8) takes up to 0.5 s
+            maps.append(heavy_pair_data(rng, params))
+    return maps
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (1, 4), (2, 1), (2, 2), (2, 3), (2, 5), (2, 8), (3, 2), (3, 4), (3, 6),
+     (4, 3), (4, 5), (5, 4), (2, 10)],
+    ids=str,
+)
+def test_invert_and_compose_match_the_full_term_lists_byte_for_byte(shape):
+    # skipping the dead tails and cross terms leaves the JSON unchanged,
+    # the first-occurrence order of the exponent pairs included
+    params = GroupParams(*shape)
+    rng = random.Random(f"term-list/{shape}")
+
+    def text(data):
+        return json.dumps(gen_inner_to_json(data))
+
+    maps = pair_data_kinds(rng, params)
+    for phi in maps:
+        inv = invert_gen_inner(phi)
+        assert text(inv) == text(invert_by_term_list(phi)), phi
+        for psi in (inv, *maps):
+            assert text(compose_gen_inner(psi, phi)) == text(compose_every_cross_term(psi, phi))
 
 
 def test_invert_gen_inner_matches_spec_inversion():

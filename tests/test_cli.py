@@ -319,6 +319,31 @@ def test_hostile_payloads_exit_cleanly(capsys):
         assert "error" in err
 
 
+BAD_INDEX = '{"exp": [0, 0], "derived": [{"seq": [1, -1], "coef": 1}]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", '{"images": ["a", "b"]}', BAD_INDEX),
+        ("apply", '{"images": ["a", %s]}' % BAD_INDEX, "b"),
+        ("invert", '{"pairs": [{"u": %s, "lambda": 1}]}' % BAD_INDEX),
+        ("is-inner", '{"pairs": [{"u": %s, "lambda": 1}]}' % BAD_INDEX),
+        ("synthesize", '{"pairs": [{"u": %s, "lambda": 1}]}' % BAD_INDEX),
+        ("synthesize", '{"images": ["a", %s]}' % BAD_INDEX),
+    ],
+    ids=["apply-element", "apply-spec", "invert", "is-inner", "synthesize-pairs",
+         "synthesize-spec"],
+)
+def test_negative_bracket_index_is_a_domain_error(capsys, argv):
+    # a bracket index below 0 names no generator: refused on input with exit
+    # 3, not evaluated (exit 0) or met later as an internal error (exit 5)
+    verb, *rest = argv
+    code, out, err = run(capsys, verb, "--rank", "2", "--class", "3", *rest)
+    assert (code, out) == (3, "")
+    assert err == "domain error: (1, -1) is not a basic commutator here\n"
+
+
 def test_oracle_selftest_small(capsys):
     code, out, _ = run(capsys, "oracle-selftest", "--samples", "10")
     assert code == 0

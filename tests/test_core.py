@@ -416,6 +416,16 @@ def test_truncate_weight():
     assert truncate_weight(e, 3) is e
 
 
+def test_truncate_weight_below_one_is_the_identity():
+    # the exponent part goes too, whether or not there is a derived part
+    for text in ("a b^2", "(a b)^2", "[b,a]"):
+        x = collect_text(text, P23)
+        for w in (0, -1):
+            assert truncate_weight(x, w) == identity(P23)
+    p11 = GroupParams(1, 1)
+    assert truncate_weight(collect_text("a^3", p11), 0) == identity(p11)
+
+
 # --- degenerate parameters --------------------------------------------------------
 
 
@@ -933,3 +943,13 @@ def test_element_validation():
         Element(P23, (0, 0), (((0, 1), 1),))  # not a basic shape
     with pytest.raises(DomainError):
         Element(P23, (0, 0), (((1, 0), 0),))  # zero coefficient
+
+
+@pytest.mark.parametrize("seq", [[1, -1], [0, -1], [1, -2, 0], [1, 0, -1]], ids=str)
+def test_negative_bracket_index_is_not_a_basic_commutator(seq):
+    # b1 > b2 <= b3 ... holds for (1, -1), but no generator has index -1
+    blob = {"exp": [0, 0], "derived": [{"seq": seq, "coef": 1}]}
+    with pytest.raises(DomainError, match="is not a basic commutator here"):
+        element_from_json(blob, P23)
+    with pytest.raises(DomainError, match="is not a basic commutator here"):
+        Element(P23, (0, 0), ((tuple(seq), 1),))

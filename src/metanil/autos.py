@@ -15,13 +15,10 @@ N_E = conj_(a^E) - 1.  The pure-exponent bracket is expanded by
 [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz] on exponent tuples alone, and cached
 on them.  compose_gen_inner is this product, invert_gen_inner the finite
 series sum_r (-A)^r, and the solved bracket symbols of the decision are
-flattened the same way.  A pair D in M' only heads a tail: past the head
-the bracket lies in the abelian M', so [x, v_1, ..., D, ...] = 1.  The
-inverse sums its exponent heads by expansion and the derived head as
-sum_r (-1)^r lambda L^(r-1) s, L = sum_j lambda_j N_E_j.  A map is applied
-on derived vectors too: every bracket [x, u] is a derived vector by core's
-closed form (core._add_comm), and _defect sums them over the pairs into
-x^-1 f(x) with no Element built per bracket.  Data equality is not
+flattened the same way.  Maps are applied and audited on derived vectors:
+each [x, u] is one by core's closed form (core._add_comm), for instance
+[a_i m, u] = [a_i, u] + N_E m (m in M', u = a^E t), and _defect sums them
+into x^-1 f(x) with no Element built per bracket.  Data equality is not
 canonical for these maps, so the official equivalence everywhere is
 extensional (equal gen_inner_to_spec images); the stored pair list is only
 brought to a normal form that the bracket cannot distinguish from the input.
@@ -54,6 +51,7 @@ from .core import (
     identity,
     inverse,
     json_int,
+    json_list,
     mul,
     payload_params,
     power,
@@ -175,13 +173,12 @@ def spec_to_json(f: AutoSpec) -> dict:
 
 
 def spec_from_json(obj: dict, params: GroupParams | None = None) -> AutoSpec:
-    params = payload_params(obj, params)
+    params, items = payload_params(obj, params), json_list(obj["images"], "images")
     if params is None:
-        if not obj["images"]:
+        if not items:
             raise DomainError("cannot infer group parameters from an empty spec")
-        params = element_from_json(obj["images"][0]).params
-    images = tuple(element_from_json(img, params) for img in obj["images"])
-    return AutoSpec(params, images)
+        params = element_from_json(items[0]).params
+    return AutoSpec(params, tuple(element_from_json(img, params) for img in items))
 
 
 # --- generalized inner data ---------------------------------------------------
@@ -395,12 +392,16 @@ def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
 
     If phi moves every generator by an element of weight >= s + 1, then A
     maps gamma_j into gamma_(j+s), so psi o phi = 1 - (-A)^(r_max + 1) is
-    the identity once r_max = (k - 1) // s; the series stops there.
+    the identity once r_max = (k - 1) // s; the series stops there.  The
+    audit reuses the defects d_i = a_i^-1 phi(a_i) read for s: with
+    psi(a_i) = a_i m_i, [a_i m, u] = [a_i, u] + N_E m gives phi(psi(a_i)) =
+    a_i (m_i + d_i + sum lambda N_E m_i), one derived vector per generator.
     """
     params = phi.params
     k = params.nilclass
     gens = [gen_element(params, i) for i in range(params.rank)]
-    s = min(min(map(len, _defect(phi, a)), default=k + 1) for a in gens) - 1
+    defects = [_defect(phi, a) for a in gens]
+    s = min(min(map(len, dv), default=k + 1) for dv in defects) - 1
     r_max = (k - 1) // s
     exps = [(u.exp, lam) for u, lam in phi.pairs if any(u.exp)]
     exp_pairs: dict[tuple[int, ...], int] = {}
@@ -434,11 +435,13 @@ def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
                 _add_conj(step, power_t.items(), e, k, mu)
             power_t = {b: c for b, c in step.items() if len(b) < k}
     psi = _gen_inner(params, exp_pairs, total)
-    # phi is an automorphism, so phi o psi = 1 iff psi o phi = 1; this side
-    # applies phi's few pairs rather than psi's many
-    psi_images = gen_inner_to_spec(psi).images
-    if any(apply_gen_inner(phi, img) != a for a, img in zip(gens, psi_images)):
-        raise EngineFault("inversion audit failed: phi o psi is not the identity")
+    for a, dv in zip(gens, defects):
+        m = _defect(psi, a)
+        _vadd(dv, m.items())
+        for u, lam in phi.pairs:
+            _add_conj(dv, m.items(), u.exp, k, lam)
+        if dv:
+            raise EngineFault("inversion audit failed: phi o psi is not the identity")
     return psi
 
 
@@ -465,7 +468,7 @@ def gen_inner_to_json(data: GenInnerData) -> dict:
 def gen_inner_from_json(obj: dict, params: GroupParams | None = None) -> GenInnerData:
     params = payload_params(obj, params)
     pairs = []
-    for item in obj.get("pairs", ()):
+    for item in json_list(obj.get("pairs", []), "pairs"):
         u = element_from_json(item["u"], params)
         if params is None:
             params = u.params

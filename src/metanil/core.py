@@ -644,6 +644,13 @@ def json_int(value) -> int:
     return value
 
 
+def json_list(value, field: str) -> list:
+    """An array field of a JSON payload: anything else is refused, never iterated."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"'{field}' must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
 def payload_params(obj: dict, params: GroupParams | None) -> GroupParams | None:
     """The group of a payload object: its own when it names rank or class (then
     it must name both), else the caller's params."""
@@ -663,10 +670,10 @@ def element_from_json(obj, params: GroupParams | None = None) -> Element:
     if isinstance(obj, str):
         return collect_text(obj, params)
     vec: DVec = {}
-    for t in obj.get("derived", []):
-        seq = tuple(json_int(b) for b in t["seq"])
+    for t in json_list(obj.get("derived", []), "derived"):
+        seq = tuple(json_int(b) for b in json_list(t["seq"], "seq"))
         vec[seq] = vec.get(seq, 0) + json_int(t["coef"])
-    exp = [json_int(e) for e in obj.get("exp", [0] * params.rank)]
+    exp = [json_int(e) for e in json_list(obj.get("exp", [0] * params.rank), "exp")]
     derived = tuple(
         sorted(((s, c) for s, c in vec.items() if c), key=lambda p: (len(p[0]), p[0]))
     )

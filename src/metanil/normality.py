@@ -73,10 +73,10 @@ from .autos import (
     AutoSpec,
     GenInnerData,
     PolyAutoData,
+    _defect,
     apply_poly_auto,
     epsilon_sum,
     flatten,
-    gen_inner_to_spec,
     is_ia,
 )
 from .core import (
@@ -324,11 +324,11 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
     of symbol maps.  So for w = 2..k the weight-w coordinates of the defects
     a_j^-1 f(a_j) are matched against the bracket-symbol span by one coupled
     integer system over all generators.  If every layer is solvable, all
-    solved symbols are flattened at once into data that one final audit
-    shows reproduces f.  Otherwise the first infeasible layer is returned
-    with its certificate and, as witness, the first generator whose defect
-    has a nonzero weight-w coordinate; this certifies that f is not a
-    normal automorphism.
+    solved symbols are flattened at once into data; a final audit compares
+    _defect(data, a_j), by [a_j m, u] = [a_j, u] + N_E m at m = 1, with f's
+    defect of a_j (both maps are IA).  Else the first infeasible layer comes
+    back with its certificate and, as witness, the first generator whose
+    defect has a nonzero weight-w coordinate: f is not a normal automorphism.
     """
     params = f.params
     d, k = params.rank, params.nilclass
@@ -363,7 +363,7 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
             if coef
         ]
     data = flatten(params, terms)
-    if gen_inner_to_spec(data).images != f.images:
+    if any(_defect(data, a) != dv for a, dv in zip(gens, defects)):
         raise EngineFault("synthesized data fails to reproduce the automorphism")
     return data
 

@@ -60,7 +60,8 @@ from metanil.verify import (
     random_gen_inner,
     random_ia_spec,
 )
-from metanil.words import DomainError, GroupParams
+from metanil.cli import main
+from metanil.words import DomainError, EngineFault, GroupParams
 
 P23 = GroupParams(2, 3)
 P32 = GroupParams(3, 2)
@@ -319,7 +320,104 @@ def test_invert_and_synthesize_match_the_element_brackets(monkeypatch, shape):
             with monkeypatch.context() as m:
                 m.setattr(autos, "apply_gen_inner", apply_gen_inner_reference)
                 m.setattr(autos, "_defect", defect_reference)
+                # the decision audit reads _defect through normality's import
+                m.setattr(normality, "_defect", defect_reference)
                 assert got == (invert_gen_inner(phi), synthesize_gen_inner(spec))
+
+
+def test_a_faulty_series_fails_the_inversion_audit(monkeypatch, capsys):
+    # one derived coefficient of every nonempty expansion moved by one: the
+    # audit, which shares no helper with the series, refuses the result
+    flatten_term = autos._flatten_term
+
+    def moved(params, exps):
+        pairs, derived = flatten_term(params, exps)
+        if derived:
+            (b, c), *rest = derived
+            derived = ((b, c + 1), *rest)
+        return pairs, derived
+
+    p = GroupParams(2, 3)
+    monkeypatch.setattr(autos, "_flatten_term", moved)
+    try:
+        fault = "^inversion audit failed: phi o psi is not the identity$"
+        with pytest.raises(EngineFault, match=fault):
+            invert_gen_inner(GenInnerData(p, ((collect_text("a b", p), 1),)))
+        payload = '{"pairs": [{"u": "a b", "lambda": 1}]}'
+        assert main(["invert", "--rank", "2", "--class", "3", payload]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: inversion audit failed: phi o psi is not the identity\n"
+    finally:
+        # the recursion stored moved expansions in the cache
+        flatten_term.cache_clear()
+
+
+def perturbed(rng, data):
+    """data with one exponent pair's lambda, or one coefficient of its pair
+    in M', moved by one; data itself when it has no pairs."""
+    if not data.pairs:
+        return data
+    pairs = list(data.pairs)
+    i = rng.randrange(len(pairs))
+    u, lam = pairs[i]
+    step = rng.choice([-1, 1])
+    if any(u.exp):
+        pairs[i] = (u, lam + step)
+    else:
+        seq, c = rng.choice(u.derived)
+        pairs[i] = (derived_element(data.params, {**u.dmap(), seq: c + step}), lam)
+    return GenInnerData(data.params, tuple(pairs))
+
+
+AUDIT_SHAPES = [(1, 1), (2, 1), (2, 2), (2, 3), (2, 5), (2, 10), (3, 2), (3, 4), (3, 6),
+                (4, 3), (4, 5), (5, 4)]
+
+
+@pytest.mark.parametrize("shape", AUDIT_SHAPES, ids=str)
+def test_vector_audits_agree_with_the_element_audits(monkeypatch, shape):
+    # the result handed to each audit is replaced by the correct one or a
+    # perturbed one; the derived-vector audit raises exactly when the
+    # Element audit (images compared as collected elements) rejects it
+    params = GroupParams(*shape)
+    rng = random.Random(f"audits/{shape}")
+    gens = [gen_element(params, i) for i in range(params.rank)]
+
+    def verdict(run, fault):
+        try:
+            run()
+        except EngineFault as exc:
+            assert str(exc) == fault
+            return False
+        return True
+
+    rejected = 0
+    for phi in pair_data_kinds(rng, params):
+        f = gen_inner_to_spec(phi)
+        psi = invert_gen_inner(phi)
+        data = synthesize_gen_inner(f) if params.rank >= 2 else None
+        for n in range(3):
+            bad = psi if n == 0 else perturbed(rng, psi)
+            images = gen_inner_to_spec(bad).images
+            element = all(apply_gen_inner(phi, img) == a for a, img in zip(gens, images))
+            with monkeypatch.context() as m:
+                m.setattr(autos, "_gen_inner", lambda *args: bad)
+                vector = verdict(lambda: invert_gen_inner(phi),
+                                 "inversion audit failed: phi o psi is not the identity")
+            assert vector == element, (phi, bad)
+            rejected += not element
+            if data is None:
+                continue
+            bad = data if n == 0 else perturbed(rng, data)
+            element = gen_inner_to_spec(bad).images == f.images
+            with monkeypatch.context() as m:
+                m.setattr(normality, "flatten", lambda *args: bad)
+                vector = verdict(lambda: synthesize_gen_inner(f),
+                                 "synthesized data fails to reproduce the automorphism")
+            assert vector == element, (f, bad)
+            rejected += not element
+    # past class 1 the perturbations move the map, and both audits see it
+    assert rejected > 0 or params.nilclass == 1
 
 
 def test_gen_inner_to_spec_round_trip():

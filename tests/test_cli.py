@@ -344,6 +344,43 @@ def test_negative_bracket_index_is_a_domain_error(capsys, argv):
     assert err == "domain error: (1, -1) is not a basic commutator here\n"
 
 
+def _pair_with_u(element):
+    return '{"pairs": [{"u": %s, "lambda": 1}]}' % json.dumps(element)
+
+
+@pytest.mark.parametrize(
+    "argv, field, got",
+    [
+        (("apply", '{"images": "ba"}', "a b"), "images", '"ba"'),
+        (("apply", '{"images": {"b": 0, "a": 1}}', "a b"), "images", '{"b": 0, "a": 1}'),
+        (("synthesize", '{"images": {"b": 0, "a": 1}}'), "images", '{"b": 0, "a": 1}'),
+        (("synthesize", '{"images": 2}'), "images", "2"),
+        (("invert", '{"pairs": "ab"}'), "pairs", '"ab"'),
+        (("invert", '{"pairs": {"u": "a", "lambda": 1}}'), "pairs", '{"u": "a", "lambda": 1}'),
+        (("invert", '{"pairs": null}'), "pairs", "null"),
+        (("invert", _pair_with_u({"exp": "ab"})), "exp", '"ab"'),
+        (("invert", _pair_with_u({"exp": {"0": 1, "1": 0}})), "exp", '{"0": 1, "1": 0}'),
+        (("invert", _pair_with_u({"derived": {"seq": [1, 0], "coef": 1}})), "derived",
+         '{"seq": [1, 0], "coef": 1}'),
+        (("invert", _pair_with_u({"derived": "ab"})), "derived", '"ab"'),
+        (("invert", _pair_with_u({"derived": [{"seq": "10", "coef": 1}]})), "seq", '"10"'),
+        (("invert", _pair_with_u({"derived": [{"seq": {"1": 0}, "coef": 1}]})), "seq", '{"1": 0}'),
+        (("apply", '{"images": ["a", "b"]}', '{"exp": "ab"}'), "exp", '"ab"'),
+    ],
+    ids=["apply-images-string", "apply-images-object", "synthesize-images-object",
+         "synthesize-images-number", "invert-pairs-string", "invert-pairs-object",
+         "invert-pairs-null", "exp-string", "exp-object", "derived-object",
+         "derived-string", "seq-string", "seq-object", "apply-element-exp-string"],
+)
+def test_array_fields_refuse_any_other_json_value(capsys, argv, field, got):
+    # a string or an object is not read as its characters or its keys, and no
+    # Python error text leaks: a parse error, exit 2, that names the field
+    verb, *rest = argv
+    code, out, err = run(capsys, verb, "--rank", "2", "--class", "3", *rest)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: invalid payload: '{field}' must be a JSON array, got {got}\n"
+
+
 def test_oracle_selftest_small(capsys):
     code, out, _ = run(capsys, "oracle-selftest", "--samples", "10")
     assert code == 0

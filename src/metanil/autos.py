@@ -13,9 +13,10 @@ abelian and a module over the abelianization, so with v = a^E s (s in M')
 [x, v_1, ..., v_s] is [x, a^E_1, ..., a^E_s] times [x, N_E_s ... N_E_2 s_1],
 N_E = conj_(a^E) - 1.  The pure-exponent bracket is expanded by
 [x, y, z] = [x, y]^-1 [x, z]^-1 [x, yz] on exponent tuples alone, and cached
-on them.  compose_gen_inner is this product, invert_gen_inner the finite
-series sum_r (-A)^r, and the solved bracket symbols of the decision are
-flattened the same way.  Maps are applied and audited on derived vectors:
+on them.  flatten builds all pair data from such (E_1..E_s, s_1, eta) terms:
+the constructor's pairs as 1-tails, the cross terms of compose_gen_inner,
+the finite series sum_r (-A)^r of invert_gen_inner and the solved bracket
+symbols of the decision.  Maps are applied and audited on derived vectors:
 each [x, u] is one by core's closed form (core._add_comm), for instance
 [a_i m, u] = [a_i, u] + N_E m (m in M', u = a^E t), and _defect sums them
 into x^-1 f(x) with no Element built per bracket.  Data equality is not
@@ -26,11 +27,8 @@ brought to a normal form that the bracket cannot distinguish from the input.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 from .core import (
     Basic,
@@ -197,39 +195,16 @@ class GenInnerData:
     pairs: tuple[tuple[Element, int], ...] = ()
 
     def __post_init__(self):
-        # [x, A s] = [x, A][x, s] splits u into its exponent part A and derived
-        # part s, and [x, s]^lam = [x, lam*s] is linear: merge the A's, add the s's
-        zero = (0,) * self.params.rank
-        exp_pairs: dict[tuple[int, ...], int] = {}
-        derived: DVec = {}
-        for u, lam in self.pairs:
-            if u.params != self.params:
-                raise DomainError("pair parameters do not match")
-            if not lam:
-                continue
-            _vadd(derived, u.derived, lam)
-            if u.exp != zero:
-                exp_pairs[u.exp] = exp_pairs.get(u.exp, 0) + lam
-        object.__setattr__(self, "pairs", _gen_inner(self.params, exp_pairs, derived).pairs)
+        # [x, A s] = [x, A][x, s] and [x, s]^lam = [x, lam*s]: each pair
+        # u = A s (s in M') is the 1-tail ((A,), s, lam) of flatten
+        if any(u.params != self.params for u, _ in self.pairs):
+            raise DomainError("pair parameters do not match")
+        terms = (((u.exp,), u.derived, lam) for u, lam in self.pairs)
+        object.__setattr__(self, "pairs", flatten(self.params, terms).pairs)
 
     @property
     def is_empty(self) -> bool:
         return not self.pairs
-
-
-def _gen_inner(params: GroupParams, exp_pairs: dict, derived: DVec) -> GenInnerData:
-    """Trusted constructor from merged sums: the exponents with nonzero lambda
-    in exp_pairs order (first occurrence; the class-2 conjugator depends on
-    it), then the derived sum as one pair.  [x, u] sees u only modulo
-    gamma_k, so brackets of weight k are dropped."""
-    pairs = [(_mk(params, z, {}), lam) for z, lam in exp_pairs.items() if lam]
-    low = {s: c for s, c in derived.items() if len(s) < params.nilclass}
-    if low:
-        pairs.append((derived_element(params, low), 1))
-    data = object.__new__(GenInnerData)
-    object.__setattr__(data, "params", params)
-    object.__setattr__(data, "pairs", tuple(pairs))
-    return data
 
 
 def _defect(data: GenInnerData, x: Element) -> DVec:
@@ -267,49 +242,44 @@ def gen_inner_to_spec(data: GenInnerData) -> AutoSpec:
 
 
 def flatten(params: GroupParams, terms) -> GenInnerData:
-    """Flat data of x -> x * prod [x, v_1, ..., v_s]^eta over (tail, eta) terms.
+    """Pair data of x -> x * prod [x, v_1, ..., v_s]^eta over (exps, s1, eta) terms.
 
-    With v_i = a^E_i s_i (s_i in M'), each term splits as
+    The one builder of pair data.  exps holds the exponents E_1..E_s of a
+    tail v_i = a^E_i s_i (s_i in M'), s1 the head's s_1 as (bracket,
+    coefficient) pairs, and the term splits as (module docstring)
 
-        [x, v_1, ..., v_s] = [x, a^E_1, ..., a^E_s] * [x, N_E_s ... N_E_2 s_1]
+        [x, v_1, ..., v_s] = [x, a^E_1, ..., a^E_s] * [x, N_E_s ... N_E_2 s_1]:
 
-    (module docstring): the first factor is _flatten_term of the exponent
-    tuples, the second one derived pair.  A term has weight at least
-    1 + sum of the tail weights, so terms whose bound exceeds the class are
-    dead and skipped, and s_1 only matters modulo weight k - s.  The
-    expansions are summed by exponent and into one derived vector, which
-    _gen_inner stores as they are.
+    _flatten_term of exps, then one derived pair, s_1 taken modulo weight
+    k - s.  Stored are the summed exponents with nonzero lambda, in first-
+    occurrence order (the class-2 conjugator depends on it), then the summed
+    derived vector below weight k, all that [x, u] sees, as one pair.
     """
     k = params.nilclass
     exp_pairs: dict[tuple[int, ...], int] = {}
     total: DVec = {}
-    # id(v) -> (v, v.min_weight()) for each tail element already checked;
-    # holding v keeps its id from being reused by a later fresh element
-    seen: dict[int, tuple[Element, int]] = {}
-    for tail, eta in terms:
-        if not tail:
+    for exps, s1, eta in terms:
+        if not exps:
             raise DomainError("a term needs a nonempty tail")
-        weight = 1
-        for v in tail:
-            hit = seen.get(id(v))
-            if hit is None:
-                if v.params != params:
-                    raise DomainError("term parameters do not match")
-                hit = seen[id(v)] = (v, v.min_weight())
-            weight += hit[1]
-        if not eta or weight > k:
+        if not eta:
             continue
-        exps = tuple(v.exp for v in tail)
         pairs, derived = _flatten_term(params, exps)
         for z, lam in pairs:
             exp_pairs[z] = exp_pairs.get(z, 0) + lam * eta
         _vadd(total, derived, eta)
-        if tail[0].derived:
-            s1 = {b: c for b, c in tail[0].derived if len(b) <= k - len(tail)}
+        if s1:
+            head = {b: c for b, c in s1 if len(b) <= k - len(exps)}
             for e in exps[1:]:
-                s1 = _conj_minus_one(s1, e, k)
-            _vadd(total, s1.items(), eta)
-    return _gen_inner(params, exp_pairs, total)
+                head = _conj_minus_one(head, e, k)
+            _vadd(total, head.items(), eta)
+    out = [(_mk(params, z, {}), lam) for z, lam in exp_pairs.items() if lam]
+    low = {b: c for b, c in total.items() if len(b) < k}
+    if low:
+        out.append((derived_element(params, low), 1))
+    data = object.__new__(GenInnerData)
+    object.__setattr__(data, "params", params)
+    object.__setattr__(data, "pairs", tuple(out))
+    return data
 
 
 @lru_cache(maxsize=1 << 15)
@@ -324,13 +294,14 @@ def _flatten_term(
         F(E_1, E_2, R) = -F(E_1, R) - F(E_2, R) + F(E_1+E_2, R) + [x, N_R c],
 
     merged in that order; an exponent whose lambda reaches 0 is dropped.  A
-    zero exponent, or more than k - 1 of them, makes the bracket trivial.
+    zero exponent, or more than k - 1 of them, makes the bracket trivial; a
+    nonzero 1-tail is kept, at class 1 too, as the stored form of its pair.
     """
     k, s = params.nilclass, len(exps)
+    if s == 1:
+        return (((exps[0], 1),) if any(exps[0]) else ()), ()
     if 1 + s > k or not all(any(e) for e in exps):
         return (), ()
-    if s == 1:
-        return ((exps[0], 1),), ()
     e1, e2, *rest = exps
     rest = tuple(rest)
     e12, c = _smul(params, (e1, {}), (e2, {}))
@@ -360,17 +331,17 @@ def compose_gen_inner(psi: GenInnerData, phi: GenInnerData) -> GenInnerData:
 
     The cross terms keep their visible weight, and those past the class are
     skipped, as are those whose v_j lies in M': [x, u_i] is in M' too, and
-    M' is abelian.  phi, psi and the flattened cross block are concatenated
-    in that order, which fixes the order of the output pairs.
+    M' is abelian.  One flatten call takes the 1-tails of phi, of psi, then
+    the cross 2-tails, and that order fixes the order of the output pairs.
     """
     if psi.params != phi.params:
         raise DomainError("parameter mismatch between data")
-    cross = [
-        ((u, v), mu * eta) for u, mu in phi.pairs for v, eta in psi.pairs if any(v.exp)
+    terms = [((u.exp,), u.derived, lam) for u, lam in phi.pairs + psi.pairs]
+    terms += [
+        ((u.exp, v.exp), u.derived, mu * eta)
+        for u, mu in phi.pairs for v, eta in psi.pairs if any(v.exp)
     ]
-    return GenInnerData(
-        psi.params, phi.pairs + psi.pairs + flatten(psi.params, cross).pairs
-    )
+    return flatten(psi.params, terms)
 
 
 def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
@@ -385,10 +356,11 @@ def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
 
     The stored pair in M' only heads a tail: past the head the bracket lies
     in the abelian M', so [x, v_1, ..., D, ...] = 1.  An exponent head a^E
-    with rest multiset R adds _flatten_term of (E,) + R.  The derived head
+    with rest multiset R is the flatten term (E,) + R.  The derived head
     D = (t, lambda) adds sum_r (-1)^r lambda L^(r-1) t with
     L = sum_j lambda_j N_(E_j) over the exponent pairs: the N_E commute on
     M', so the multinomial weights of the multisets are the powers of L.
+    Each L^(r-1) t is a 1-tail with a zero exponent, after every head term.
 
     If phi moves every generator by an element of weight >= s + 1, then A
     maps gamma_j into gamma_(j+s), so psi o phi = 1 - (-A)^(r_max + 1) is
@@ -404,37 +376,31 @@ def invert_gen_inner(phi: GenInnerData) -> GenInnerData:
     s = min(min(map(len, dv), default=k + 1) for dv in defects) - 1
     r_max = (k - 1) // s
     exps = [(u.exp, lam) for u, lam in phi.pairs if any(u.exp)]
-    exp_pairs: dict[tuple[int, ...], int] = {}
-    total: DVec = {}
-    # loop order r, head, rest fixes the first occurrence of each exponent
+    terms = []
+    # rests: multisets of r - 1 pairs, lexicographic in their sorted indices
+    # (loop order r, head, rest fixes first occurrences), with multinomial
+    # count times lambdas, and last index j of multiplicity m
+    rests = [((), 1, 0, 0)]
     for r in range(1, r_max + 1):
-        rests = []
-        for rest in combinations_with_replacement(range(len(exps)), r - 1):
-            count = math.factorial(r - 1)
-            for m in Counter(rest).values():
-                count //= math.factorial(m)
-            tail = tuple(exps[j][0] for j in rest)
-            rests.append((tail, count * math.prod(exps[j][1] for j in rest)))
-        for e, lam in exps:
-            for tail, c in rests:
-                eta = (-1) ** r * lam * c
-                pairs, derived = _flatten_term(params, (e,) + tail)
-                for z, mu in pairs:
-                    exp_pairs[z] = exp_pairs.get(z, 0) + mu * eta
-                _vadd(total, derived, eta)
+        terms += [((e,) + tail, (), (-1) ** r * lam * c) for e, lam in exps for tail, c, _, _ in rests]
+        grown = []  # append indices >= j: the count gains r / (new multiplicity)
+        for tail, c, j, m in rests:
+            for i in range(j, len(exps)):
+                n = m + 1 if i == j else 1
+                grown.append((tail + (exps[i][0],), c * r * exps[i][1] // n, i, n))
+        rests = grown
+    zero = ((0,) * params.rank,)
     for u, lam in phi.pairs:
-        if any(u.exp):
-            continue
-        power_t = u.dmap()  # L^(r-1) t, cut below weight k
+        power_t = () if any(u.exp) else u.derived  # L^(r-1) t, cut below weight k
         for r in range(1, r_max + 1):
             if not power_t:
                 break
-            _vadd(total, power_t.items(), (-1) ** r * lam)
+            terms.append((zero, power_t, (-1) ** r * lam))
             step: DVec = {}
             for e, mu in exps:
-                _add_conj(step, power_t.items(), e, k, mu)
-            power_t = {b: c for b, c in step.items() if len(b) < k}
-    psi = _gen_inner(params, exp_pairs, total)
+                _add_conj(step, power_t, e, k, mu)
+            power_t = tuple((b, c) for b, c in step.items() if len(b) < k)
+    psi = flatten(params, terms)
     for a, dv in zip(gens, defects):
         m = _defect(psi, a)
         _vadd(dv, m.items())
@@ -468,7 +434,7 @@ def gen_inner_to_json(data: GenInnerData) -> dict:
 def gen_inner_from_json(obj: dict, params: GroupParams | None = None) -> GenInnerData:
     params = payload_params(obj, params)
     pairs = []
-    for item in json_list(obj.get("pairs", []), "pairs"):
+    for item in json_list(obj.get("pairs", []), "pairs", objects=True):
         u = element_from_json(item["u"], params)
         if params is None:
             params = u.params

@@ -176,13 +176,20 @@ def _verify_paper(args, params):
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY
 
 
+def positive_int(text: str) -> int:
+    """--samples: at least 1, since a suite that sampled nothing must not pass."""
+    if (n := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 _PAYLOAD = "JSON payload (inline, @file or -)"
 _ARG_HELP = {"spec": _PAYLOAD, "spec_g": _PAYLOAD, "spec_f": _PAYLOAD,
              "element": "word or element JSON"}
 _GROUP = (("--rank", dict(type=int, default=2, help="number of generators")),
           ("--class", dict(dest="nilclass", type=int, default=3, help="nilpotency class")))
 _SAMPLING = (("--seed", dict(type=int, default=0)),
-             ("--samples", dict(type=int, default=None)))
+             ("--samples", dict(type=positive_int, default=None)))
 _SUITE = ("--suite", dict(choices=sorted(SUITES) + ["all"], default="all"))
 
 # verb -> (help, positional arguments, handler, options beyond --json); a

@@ -644,10 +644,14 @@ def json_int(value) -> int:
     return value
 
 
-def json_list(value, field: str) -> list:
-    """An array field of a JSON payload: anything else is refused, never iterated."""
+def json_list(value, field: str, objects: bool = False) -> list:
+    """An array field of a JSON payload, of objects if asked: anything else is
+    refused, never iterated or indexed."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"'{field}' must be a JSON array, got {json.dumps(value)}")
+    for item in value if objects else ():
+        if not isinstance(item, dict):
+            raise ValueError(f"each item of '{field}' must be a JSON object, got {json.dumps(item)}")
     return value
 
 
@@ -664,13 +668,13 @@ def element_from_json(obj, params: GroupParams | None = None) -> Element:
     if isinstance(obj, dict):
         params = payload_params(obj, params)
     elif not isinstance(obj, str):
-        raise DomainError("element JSON must be an object or a word string")
+        raise ValueError(f"element JSON must be an object or a word string, got {json.dumps(obj)}")
     if params is None:
         raise DomainError("an element needs explicit group parameters")
     if isinstance(obj, str):
         return collect_text(obj, params)
     vec: DVec = {}
-    for t in json_list(obj.get("derived", []), "derived"):
+    for t in json_list(obj.get("derived", []), "derived", objects=True):
         seq = tuple(json_int(b) for b in json_list(t["seq"], "seq"))
         vec[seq] = vec.get(seq, 0) + json_int(t["coef"])
     exp = [json_int(e) for e in json_list(obj.get("exp", [0] * params.rank), "exp")]

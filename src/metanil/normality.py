@@ -358,7 +358,7 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
             witness = next((j for j in range(d) if any(b[j * nb : (j + 1) * nb])), 0)
             return NotGeneralizedInner(witness, w, cert.to_json())
         terms += [
-            (tuple(gens[g] for g in (i, *_delta_tail(delta))), coef)
+            (tuple(gens[g].exp for g in (i, *_delta_tail(delta))), (), coef)
             for (i, delta), coef in zip(cols, x)
             if coef
         ]

@@ -166,7 +166,8 @@ def test_criterion_5_flattening():
     for t in range(200):
         params = GroupParams(*grid[t % len(grid)])
         terms = random_terms(rng, params)
-        flat = flatten(params, terms)
+        flat = flatten(params, [(tuple(v.exp for v in tail), tail[0].derived, eta)
+                                for tail, eta in terms])
         xs = [gen_element(params, i) for i in range(params.rank)]
         xs.append(random_element(rng, params))
         if any(apply_terms(terms, x) != apply_gen_inner(flat, x) for x in xs):
@@ -304,7 +305,7 @@ def test_criterion_10_class_separation():
                 break
     p23 = GroupParams(2, 3)
     a = gen_element(p23, 0)
-    flat = flatten(p23, [((a, a), 1)])
+    flat = flatten(p23, [((a.exp, a.exp), (), 1)])
     spec = gen_inner_to_spec(flat)
     separation = (not flat.is_empty) and is_inner(spec) is None
     report(

@@ -35,6 +35,7 @@ from metanil.autos import (
     spec_to_json,
 )
 from metanil.core import (
+    _mk,
     _vadd,
     collect_text,
     commutator,
@@ -401,7 +402,7 @@ def test_vector_audits_agree_with_the_element_audits(monkeypatch, shape):
             images = gen_inner_to_spec(bad).images
             element = all(apply_gen_inner(phi, img) == a for a, img in zip(gens, images))
             with monkeypatch.context() as m:
-                m.setattr(autos, "_gen_inner", lambda *args: bad)
+                m.setattr(autos, "flatten", lambda *args: bad)
                 vector = verdict(lambda: invert_gen_inner(phi),
                                  "inversion audit failed: phi o psi is not the identity")
             assert vector == element, (phi, bad)
@@ -451,19 +452,45 @@ def apply_terms(terms, x):
     return out
 
 
+def flatten_tails(params, terms):
+    """flatten on Element-tail (tail, eta) terms, as (exps, s1, eta): past the
+    head only the exponents of the tail count."""
+    return flatten(params, [(tuple(v.exp for v in tail), tail[0].derived, eta)
+                            for tail, eta in terms])
+
+
 def test_flatten_examples():
     a = gen_element(P23, 0)
-    single = flatten(P23, [((a,), 5)])
+    single = flatten_tails(P23, [((a,), 5)])
     assert single == GenInnerData(P23, ((a, 5),))
-    flat = flatten(P23, [((a, a), 1)])
+    flat = flatten(P23, [((a.exp, a.exp), (), 1)])
     assert dict(flat.pairs) == {a: -2, collect_text("a^2", P23): 1}
     u, v = collect_text("a b", P23), collect_text("b^2", P23)
-    two = flatten(P23, [((u, v), 1)])
+    two = flatten_tails(P23, [((u, v), 1)])
     assert dict(two.pairs) == {u: -1, v: -1, mul(u, v): 1}
     with pytest.raises(DomainError):
-        flatten(P23, [((), 1)])
-    with pytest.raises(DomainError):
-        flatten(P23, [((gen_element(P35, 0),), 1)])
+        flatten(P23, [((), (), 1)])
+
+
+def test_the_constructor_is_flatten_over_1_tails():
+    p = GroupParams(2, 3)
+    a, b, ab = gen_element(p, 0), gen_element(p, 1), collect_text("a b", p)
+    top = collect_text("a b [b,a,a]", p)
+    t = derived_element(p, {(1, 0): 2, (1, 0, 0): 3})
+    pairs = ((b, 1), (a, 0), (ab, 2), (t, 1), (top, -1), (b, 2))
+    data = GenInnerData(p, pairs)
+    assert data == flatten(p, [((u.exp,), u.derived, lam) for u, lam in pairs])
+    # lambda 0 dropped, b and a b merged in first-occurrence order, and the
+    # weight-3 sum [b,a,a]^2 dropped: [x, u] cannot see it
+    assert data.pairs == ((b, 3), (ab, 1), (derived_element(p, {(1, 0): 2}), 1))
+    # at class 1 every [x, u] is trivial, but exponent pairs stay stored
+    p = GroupParams(2, 1)
+    a, b = gen_element(p, 0), gen_element(p, 1)
+    pairs = ((a, 2), (b, 0), (a, -1))
+    data = GenInnerData(p, pairs)
+    assert data == flatten(p, [((u.exp,), u.derived, lam) for u, lam in pairs])
+    assert data.pairs == ((a, 1),)
+    assert flatten(p, [((a.exp, b.exp), (), 1)]).is_empty
 
 
 def test_flatten_is_extensional():
@@ -471,7 +498,7 @@ def test_flatten_is_extensional():
     for _ in range(40):
         params = GroupParams(rng.choice([2, 3]), rng.choice([2, 3, 4, 5]))
         terms = random_terms(rng, params)
-        flat = flatten(params, terms)
+        flat = flatten_tails(params, terms)
         for _ in range(3):
             x = random_element(rng, params)
             assert apply_terms(terms, x) == apply_gen_inner(flat, x)
@@ -559,7 +586,7 @@ def test_flatten_matches_the_element_recursion(rank, classes):
         edge = [((pushed, gen_element(params, 0, 2)), 1)] if k >= 4 else []
         for n in range(8):
             terms = (edge if n == 0 else []) + mixed_terms(rng, params)
-            got, want = flatten(params, terms), flatten_reference(params, terms)
+            got, want = flatten_tails(params, terms), flatten_reference(params, terms)
             assert dict(got.pairs) == dict(want.pairs), (params, terms)
             data = GenInnerData(params, tuple((v, eta) for tail, eta in terms for v in tail))
             for out in (got, compose_gen_inner(data, data), invert_gen_inner(data)):
@@ -581,12 +608,12 @@ def test_flatten_edge_cases_match_the_element_recursion_pair_for_pair():
         "tails of length k - 1": [((a, b, c, a), 1), ((b, a, b, c), -1)],
     }
     for name, terms in cases.items():
-        assert flatten(p, terms) == flatten_reference(p, terms), name
-    assert flatten(p, cases["eta = 0"]).is_empty
-    assert flatten(p, cases["dead past the class"]).is_empty
+        assert flatten_tails(p, terms) == flatten_reference(p, terms), name
+    assert flatten_tails(p, cases["eta = 0"]).is_empty
+    assert flatten_tails(p, cases["dead past the class"]).is_empty
     p = GroupParams(2, 11)
     tail = tuple(gen_element(p, i % 2) for i in range(10))
-    assert flatten(p, [(tail, 3)]) == flatten_reference(p, [(tail, 3)])
+    assert flatten_tails(p, [(tail, 3)]) == flatten_reference(p, [(tail, 3)])
 
 
 def fresh(v):
@@ -595,14 +622,17 @@ def fresh(v):
 
 
 def test_flatten_takes_a_generator_of_fresh_elements():
-    # each term's elements are freed before the next is built, so a memo
-    # keyed by id alone would see reused ids with other weights and exponents
+    # one pass over a generator, each term read off elements that are freed
+    # before the next is built, as the constructor hands over its pairs
     for shape in [(2, 6), (3, 5), (4, 4)]:
         params = GroupParams(*shape)
         rng = random.Random(f"fresh/{shape}")
         terms = [t for _ in range(6) for t in mixed_terms(rng, params)]
-        want = flatten(params, terms)
-        got = flatten(params, ((tuple(fresh(v) for v in tail), eta) for tail, eta in terms))
+        want = flatten_tails(params, terms)
+        got = flatten(params, (
+            (tuple(fresh(v).exp for v in tail), fresh(tail[0]).derived, eta)
+            for tail, eta in terms
+        ))
         assert got == want == flatten_reference(params, terms)
 
 
@@ -611,19 +641,15 @@ def test_flatten_checks_every_element_and_prunes_as_before():
     a, b = gen_element(p, 0), gen_element(p, 1)
     t3 = derived_element(p, {(2, 1, 1): 1})
     foreign = gen_element(GroupParams(3, 6), 0)
-    # a foreign element late in an eta = 0 term, after elements already seen
-    for terms in (
-        [((a, b), 1), ((a, b, foreign), 0)],
-        [((a, b), 0), ((b, a, a, foreign), 0)],
-        iter([((a, b), 1), ((b, foreign), 0)]),
-    ):
+    # the constructor checks every pair, a foreign one with lambda 0 after
+    # pairs already seen included, before it hands them to flatten
+    for pairs in (((a, 1), (b, 1), (foreign, 0)), ((a, 0), (foreign, 0))):
         with pytest.raises(DomainError):
-            flatten(p, terms)
-    # dead terms share elements with live ones; the weights seen for an
-    # element in one term carry over to the next unchanged
+            GenInnerData(p, pairs)
+    # dead terms, past the class by weight, share elements with live ones
     terms = [((t3, a), 1), ((a, t3), 2), ((a, b), 1), ((t3, t3), 1), ((a, b, a, b), 1)]
-    assert flatten(p, terms) == flatten_reference(p, terms)
-    assert flatten(p, [((t3, a, b), 1), ((a, b, a, b, a), 1)]).is_empty
+    assert flatten_tails(p, terms) == flatten_reference(p, terms)
+    assert flatten_tails(p, [((t3, a, b), 1), ((a, b, a, b, a), 1)]).is_empty
 
 
 @pytest.mark.parametrize(
@@ -631,8 +657,8 @@ def test_flatten_checks_every_element_and_prunes_as_before():
 )
 def test_callers_match_the_element_recursion_pair_for_pair(monkeypatch, shape):
     # invert, compose and synthesize give the same data, pairs in order, as
-    # with the reference expansion in place of flatten (for invert, over the
-    # full term list)
+    # the reference expansion over the full term lists (for synthesize, its
+    # unit-vector tails read as generators)
     params = GroupParams(*shape)
     rng = random.Random(f"flatten/{shape}")
     for _ in range(4):
@@ -644,11 +670,13 @@ def test_callers_match_the_element_recursion_pair_for_pair(monkeypatch, shape):
 
         got = (invert_gen_inner(phi), compose_gen_inner(psi, phi), synthesize_gen_inner(spec))
         with monkeypatch.context() as m:
-            m.setattr(autos, "flatten", flatten_reference)
-            m.setattr(normality, "flatten", flatten_reference)
+            # only normality's name: the constructor calls autos.flatten
+            m.setattr(normality, "flatten", lambda p, terms: flatten_reference(
+                p, [(tuple(_mk(p, e, {}) for e in exps), eta) for exps, _, eta in terms]
+            ))
             want = (
                 invert_by_term_list(phi, flatten_reference),
-                compose_gen_inner(psi, phi),
+                compose_every_cross_term(psi, phi, flatten_reference),
                 synthesize_gen_inner(spec),
             )
             assert got == want
@@ -719,7 +747,7 @@ def heavy_pair_data(rng, params):
     )
 
 
-def invert_by_term_list(phi, flat=flatten):
+def invert_by_term_list(phi, flat=flatten_tails):
     """The reference for invert_gen_inner: every r-tail of pairs as one term.
 
     The series sum_r (-A)^r is written out as (tail, coefficient) terms, one
@@ -746,11 +774,12 @@ def invert_by_term_list(phi, flat=flatten):
     return flat(params, terms)
 
 
-def compose_every_cross_term(psi, phi):
+def compose_every_cross_term(psi, phi, flat=flatten_tails):
     """The reference for compose_gen_inner: every cross term [x, u_i, v_j]
-    is flattened, those with v_j in M' (which are 1) included."""
+    is flattened, those with v_j in M' (which are 1) included, and merged
+    after phi and psi by the public constructor."""
     cross = [((u, v), mu * eta) for u, mu in phi.pairs for v, eta in psi.pairs]
-    return GenInnerData(psi.params, phi.pairs + psi.pairs + flatten(psi.params, cross).pairs)
+    return GenInnerData(psi.params, phi.pairs + psi.pairs + flat(psi.params, cross).pairs)
 
 
 def pair_data_kinds(rng, params):
@@ -929,7 +958,7 @@ def test_conjugation_images_are_the_pair_data_images():
 
 def test_is_inner_refuses_the_iterated_bracket_map():
     a = gen_element(P23, 0)
-    spec = gen_inner_to_spec(flatten(P23, [((a, a), 1)]))
+    spec = gen_inner_to_spec(flatten(P23, [((a.exp, a.exp), (), 1)]))
     assert is_inner(spec) is None
 
 
@@ -1007,7 +1036,7 @@ def test_warm_is_inner_builds_no_matrix(monkeypatch):
     for params in (P23, P35, GroupParams(4, 4)):
         for _ in range(3):
             specs.append(conjugation_spec(params, random_element(rng, params)))
-        specs.append(gen_inner_to_spec(flatten(params, [((gen_element(params, 0),) * 2, 1)])))
+        specs.append(gen_inner_to_spec(flatten(params, [((gen_element(params, 0).exp,) * 2, (), 1)])))
     clear_caches()
     cold = [is_inner(spec) for spec in specs]
     # three conjugations and one refusal per shape

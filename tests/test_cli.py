@@ -381,6 +381,61 @@ def test_array_fields_refuse_any_other_json_value(capsys, argv, field, got):
     assert err == f"parse error: invalid payload: '{field}' must be a JSON array, got {got}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("invert", '{"pairs": ["ab"]}'), "each item of 'pairs' must be a JSON object, got \"ab\""),
+        (("synthesize", '{"pairs": [3]}'), "each item of 'pairs' must be a JSON object, got 3"),
+        (("invert", _pair_with_u({"derived": ["ab"]})),
+         "each item of 'derived' must be a JSON object, got \"ab\""),
+        (("apply", '{"images": ["a", "b"]}', '{"derived": [[1, 0]]}'),
+         "each item of 'derived' must be a JSON object, got [1, 0]"),
+        (("invert", '{"pairs": [{"u": 3, "lambda": 1}]}'),
+         "element JSON must be an object or a word string, got 3"),
+        (("invert", '{"images": [3, "b"]}'),
+         "element JSON must be an object or a word string, got 3"),
+        (("synthesize", '{"images": ["a", null]}'),
+         "element JSON must be an object or a word string, got null"),
+    ],
+    ids=["pairs-string", "pairs-number", "derived-string", "apply-element-derived-array",
+         "u-number", "image-number", "image-null"],
+)
+def test_items_and_elements_of_another_json_type_are_parse_errors(capsys, argv, message):
+    # an item of 'pairs' or 'derived' is an object, an element an object or
+    # a word string: anything else is a parse error, exit 2, that says which
+    verb, *rest = argv
+    code, out, err = run(capsys, verb, "--rank", "2", "--class", "3", *rest)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: invalid payload: {message}\n"
+
+
+def test_an_element_of_another_json_type_is_a_value_error_not_a_domain_error():
+    p = metanil.GroupParams(2, 3)
+    for obj in (3, None, ["a"]):
+        with pytest.raises(ValueError, match="object or a word string") as info:
+            core.element_from_json(obj, p)
+        assert not isinstance(info.value, metanil.DomainError)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-paper", "--suite", "prop14", "--samples", "-3"),
+        ("verify-paper", "--samples", "0"),
+        ("oracle-selftest", "--samples", "-2"),
+    ],
+    ids=["verify-paper-negative", "verify-paper-zero", "oracle-selftest-negative"],
+)
+def test_samples_below_one_is_a_usage_error(capsys, argv):
+    # a suite that sampled nothing must not report a pass
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"argument --samples: must be at least 1, got {argv[-1]}\n" in err
+    code, out, err = run(capsys, argv[0], "--samples", "x")
+    assert (code, out) == (1, "")
+    assert "argument --samples: invalid positive_int value: 'x'\n" in err
+
+
 def test_oracle_selftest_small(capsys):
     code, out, _ = run(capsys, "oracle-selftest", "--samples", "10")
     assert code == 0

@@ -376,7 +376,7 @@ def test_synthesize_domain_errors():
 
 def test_class_separation_example():
     a = gen_element(P23, 0)
-    spec = gen_inner_to_spec(flatten(P23, [((a, a), 1)]))
+    spec = gen_inner_to_spec(flatten(P23, [((a.exp, a.exp), (), 1)]))
     res = synthesize_gen_inner(spec)
     assert isinstance(res, GenInnerData)
     assert is_inner(spec) is None
@@ -721,8 +721,8 @@ def test_symbol_maps_are_homogeneous(d):
         gens = [gen_element(p, g) for g in range(d)]
         for w in range(2, k + 1):
             for i, delta in _layer_system(d, w)[1]:
-                tail = tuple(gens[g] for g in (i, *_delta_tail(delta)))
-                data = flatten(p, [(tail, 1)])
+                tail = tuple(gens[g].exp for g in (i, *_delta_tail(delta)))
+                data = flatten(p, [(tail, (), 1)])
                 for a in gens:
                     move = eval_delta_comm(a, gens[i], delta)
                     assert apply_gen_inner(data, a) == mul(a, move)

@@ -12,6 +12,7 @@ from .words import (
     EngineFault,
     GroupParams,
     ParseError,
+    PayloadError,
     Word,
     parse_word,
     retract,

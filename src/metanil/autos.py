@@ -52,6 +52,7 @@ from .core import (
     json_list,
     mul,
     payload_params,
+    payload_reader,
     power,
     require_enumerable,
 )
@@ -170,6 +171,7 @@ def spec_to_json(f: AutoSpec) -> dict:
     }
 
 
+@payload_reader
 def spec_from_json(obj: dict, params: GroupParams | None = None) -> AutoSpec:
     params, items = payload_params(obj, params), json_list(obj["images"], "images")
     if params is None:
@@ -431,6 +433,7 @@ def gen_inner_to_json(data: GenInnerData) -> dict:
     }
 
 
+@payload_reader
 def gen_inner_from_json(obj: dict, params: GroupParams | None = None) -> GenInnerData:
     params = payload_params(obj, params)
     pairs = []

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 parse error (word text or JSON),
-3 domain error, 4 verification failure, 5 internal error (an engine
-self-check failed).  Specs and data are passed as JSON, and apply's element
-as a word or element JSON: inline, as @path, or as '-' for stdin.  Every JSON
-text goes through one decoder, so a malformed or too deeply nested one is a
-parse error (exit 2).  A payload that names rank or class must name both and
-overrides --rank/--class; one that names neither takes them.
+3 domain error (also a result too large to print), 4 verification failure,
+5 internal error (a bug: an engine self-check failed, or another exception).
+Specs and data are passed as JSON, and apply's element as a word or element
+JSON: inline, as @path, or as '-' for stdin.  Every JSON text goes through
+one decoder, so a malformed or too deeply nested one is a parse error (exit
+2).  A payload that names rank or class must name both and overrides
+--rank/--class; one that names neither takes them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .autos import (
     GenInnerData,
@@ -33,7 +35,7 @@ from .autos import (
 from .core import collect_text, element_from_json, element_to_json, text_state
 from .normality import NotGeneralizedInner, synthesize_gen_inner
 from .verify import SUITES, CliConfig, oracle_selftest, verify_paper
-from .words import DomainError, EngineFault, GroupParams, ParseError
+from .words import DomainError, EngineFault, GroupParams, ParseError, PayloadError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,6 +68,8 @@ def _load_json(text: str) -> dict:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos)
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", 0) from None
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise PayloadError(str(exc)) from None
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", 0)
     return obj
@@ -85,15 +89,28 @@ def _as_spec(mapping):
     return gen_inner_to_spec(mapping) if isinstance(mapping, GenInnerData) else mapping
 
 
+def _print(render, *args, **kwargs) -> None:
+    """Print render(*args, **kwargs), the text of every verb's result."""
+    try:
+        text = render(*args, **kwargs)
+    except ValueError:  # an int past sys.get_int_max_str_digits() has no text
+        raise DomainError(f"the result holds an integer of more than {sys.get_int_max_str_digits()}"
+                          " digits, Python's int-to-string limit") from None
+    print(text)
+
+
 def _print_element(x, as_json: bool) -> None:
-    print(json.dumps(element_to_json(x)) if as_json else str(x))
+    if as_json:
+        _print(json.dumps, element_to_json(x))
+    else:
+        _print(str, x)
 
 
 def _emit_report(rep, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(rep.to_json(), indent=2))
+        _print(json.dumps, rep.to_json(), indent=2)
     else:
-        print("\n".join(rep.lines()))
+        _print("\n".join, rep.lines())
     return EXIT_OK if rep.ok else EXIT_VERIFY
 
 
@@ -104,9 +121,9 @@ def _nf(args, params):
 def _eq(args, params):
     same = text_state(args.word1, params) == text_state(args.word2, params)
     if args.json:
-        print(json.dumps({"equal": same}))
+        _print(json.dumps, {"equal": same})
     else:
-        print("equal" if same else "not equal")
+        _print(str, "equal" if same else "not equal")
 
 
 def _apply(args, params):
@@ -121,41 +138,39 @@ def _compose(args, params):
     g = _load_map(args.spec_g, params)
     f = _load_map(args.spec_f, params)
     if isinstance(g, GenInnerData) and isinstance(f, GenInnerData):
-        print(json.dumps(gen_inner_to_json(compose_gen_inner(g, f))))
+        _print(json.dumps, gen_inner_to_json(compose_gen_inner(g, f)))
     else:
-        print(json.dumps(spec_to_json(compose_endo(_as_spec(g), _as_spec(f)))))
+        _print(json.dumps, spec_to_json(compose_endo(_as_spec(g), _as_spec(f))))
 
 
 def _invert(args, params):
     mapping = _load_map(args.spec, params)
     if isinstance(mapping, GenInnerData):
-        print(json.dumps(gen_inner_to_json(invert_gen_inner(mapping))))
+        _print(json.dumps, gen_inner_to_json(invert_gen_inner(mapping)))
     else:
-        print(json.dumps(spec_to_json(invert_ia(mapping))))
+        _print(json.dumps, spec_to_json(invert_ia(mapping)))
 
 
 def _is_inner(args, params):
     u = is_inner(_as_spec(_load_map(args.spec, params)))
     if args.json:
         conj = None if u is None else element_to_json(u)
-        print(json.dumps({"inner": u is not None, "conjugator": conj}))
+        _print(json.dumps, {"inner": u is not None, "conjugator": conj})
     else:
-        print("not inner" if u is None else f"inner: conjugation by {u}")
+        _print(lambda: "not inner" if u is None else f"inner: conjugation by {u}")
 
 
 def _synthesize(args, params):
     res = synthesize_gen_inner(_as_spec(_load_map(args.spec, params)))
     refused = isinstance(res, NotGeneralizedInner)
     if args.json:
-        print(json.dumps(res.to_json() if refused else gen_inner_to_json(res)))
+        _print(json.dumps, res.to_json() if refused else gen_inner_to_json(res))
     elif refused:
-        print(
-            "not generalized inner: witness generator "
-            f"{res.witness_generator}, layer {res.layer}"
-        )
+        _print(str, "not generalized inner: witness generator "
+               f"{res.witness_generator}, layer {res.layer}")
     else:
-        pairs = ", ".join(f"({u}; {lam})" for u, lam in res.pairs)
-        print(f"generalized inner: [{pairs}]")
+        _print(lambda: "generalized inner: ["
+               + ", ".join(f"({u}; {lam})" for u, lam in res.pairs) + "]")
 
 
 def _oracle_selftest(args, params):
@@ -169,10 +184,9 @@ def _verify_paper(args, params):
         return _emit_report(verify_paper(args.suite, cfg), args.json)
     reports = [verify_paper(name, cfg) for name in sorted(SUITES)]
     if args.json:
-        print(json.dumps([r.to_json() for r in reports], indent=2))
+        _print(json.dumps, [r.to_json() for r in reports], indent=2)
     else:
-        for rep in reports:
-            print("\n".join(rep.lines()))
+        _print("\n".join, [line for rep in reports for line in rep.lines()])
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY
 
 
@@ -245,8 +259,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (KeyError, TypeError, ValueError) as exc:
-        # structurally broken payloads (missing keys, wrong value types)
+    except (PayloadError, UnicodeDecodeError) as exc:  # or a payload that is not UTF-8
         print(f"parse error: invalid payload: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
@@ -254,6 +267,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except EngineFault as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug in metanil, never a verdict on the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations_with_replacement
 
-from .words import DomainError, GroupParams, Word, WordOps, evaluate, generator_name
+from .words import DomainError, GroupParams, PayloadError, Word, WordOps, evaluate, generator_name
 
 Basic = tuple[int, ...]
 DVec = dict[Basic, int]
@@ -637,10 +637,24 @@ def element_to_json(x: Element) -> dict:
     }
 
 
+def payload_reader(read):
+    """A JSON payload reader whose KeyError or TypeError, a missing field or a
+    value of the wrong type, leaves it as a PayloadError with the same message."""
+
+    @wraps(read)
+    def reader(obj, params: GroupParams | None = None):
+        try:
+            return read(obj, params)
+        except (KeyError, TypeError) as exc:
+            raise PayloadError(str(exc)) from exc
+
+    return reader
+
+
 def json_int(value) -> int:
     """An integer field of a JSON payload: anything but an int is refused, not converted."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+        raise PayloadError(f"expected an integer, got {json.dumps(value)}")
     return value
 
 
@@ -648,10 +662,10 @@ def json_list(value, field: str, objects: bool = False) -> list:
     """An array field of a JSON payload, of objects if asked: anything else is
     refused, never iterated or indexed."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"'{field}' must be a JSON array, got {json.dumps(value)}")
+        raise PayloadError(f"'{field}' must be a JSON array, got {json.dumps(value)}")
     for item in value if objects else ():
         if not isinstance(item, dict):
-            raise ValueError(f"each item of '{field}' must be a JSON object, got {json.dumps(item)}")
+            raise PayloadError(f"each item of '{field}' must be a JSON object, got {json.dumps(item)}")
     return value
 
 
@@ -663,12 +677,13 @@ def payload_params(obj: dict, params: GroupParams | None) -> GroupParams | None:
     return params
 
 
+@payload_reader
 def element_from_json(obj, params: GroupParams | None = None) -> Element:
     """Accepts the Element schema, or a plain word string; either needs a group."""
     if isinstance(obj, dict):
         params = payload_params(obj, params)
     elif not isinstance(obj, str):
-        raise ValueError(f"element JSON must be an object or a word string, got {json.dumps(obj)}")
+        raise PayloadError(f"element JSON must be an object or a word string, got {json.dumps(obj)}")
     if params is None:
         raise DomainError("an element needs explicit group parameters")
     if isinstance(obj, str):

@@ -14,17 +14,18 @@ evidence for both.
 Each polynomial is a dense coefficient tuple over the monomials of degree
 <= its cap, listed by degree (_basis); magnus_of_word folds a word into
 (s, m) one syllable at a time, in place, in at most k sweeps per syllable.
-The kernel audit multiplies and inverts the same tuples (_mul, _inv).
+The kernel audit brackets module vectors with the fold's division sweep
+(_bracket); it needs no product or inverse of pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from math import comb
 
-from .core import Basic, binom, enumerate_basics
+from .core import binom, enumerate_basics
 from .words import DomainError, GroupParams, Word, parse_word
 
 
@@ -81,53 +82,6 @@ def _basis(nvars: int, cap: int) -> _Basis:
     return _Basis(nvars, cap)
 
 
-@lru_cache(maxsize=64)
-def _product_table(nvars: int, cap: int) -> tuple[tuple[int, ...], ...]:
-    """Row i: the index of monomial i times monomial j, for every j that fits.
-
-    The j that fit are those of degree <= cap - deg(i): a prefix of the basis.
-    """
-    basis = _basis(nvars, cap)
-    monos, index = basis.monos, basis.index
-    return tuple(
-        tuple(
-            index[tuple(a + b for a, b in zip(mi, mj))]
-            for mj in monos[: comb(nvars + cap - sum(mi), nvars)]
-        )
-        for mi in monos
-    )
-
-
-def _mul(p: tuple, q: tuple, nvars: int, cap: int) -> tuple:
-    """Product of two coefficient tuples over _basis(nvars, cap)."""
-    out = [0] * len(q)
-    for a, row in zip(p, _product_table(nvars, cap)):
-        if a:
-            for b, t in zip(q, row):
-                if b:
-                    out[t] += a * b
-    return tuple(out)
-
-
-def _inv(p: tuple, nvars: int, cap: int) -> tuple:
-    """Inverse of a unit (constant term +-1) by the geometric series.
-
-    p = c (1 - q) with c = p[0] and q of zero constant term, so
-    p^-1 = c (1 + q + q^2 + ...), and q^(cap+1) is truncated away.
-    """
-    c = p[0]
-    if c not in (1, -1):
-        raise DomainError("only units with constant term +-1 are invertible")
-    q = (0,) + tuple(-c * a for a in p[1:])
-    out = term = (1,) + (0,) * (len(p) - 1)
-    for _ in range(cap):
-        term = _mul(term, q, nvars, cap)
-        if not any(term):
-            break
-        out = tuple(a + b for a, b in zip(out, term))
-    return tuple(c * a for a in out)
-
-
 @dataclass(frozen=True)
 class MagnusMatrix:
     """(s, m): s over _basis(d, k), each m_g over _basis(d, k - 1)."""
@@ -138,52 +92,6 @@ class MagnusMatrix:
     def is_identity(self) -> bool:
         s = self.scalar
         return s[0] == 1 and not any(s[1:]) and not any(map(any, self.module))
-
-
-def mm_identity(params: GroupParams) -> MagnusMatrix:
-    d, k = params.rank, params.nilclass
-    n_top, n_low = len(_basis(d, k).monos), len(_basis(d, k - 1).monos)
-    return MagnusMatrix((1,) + (0,) * (n_top - 1), ((0,) * n_low,) * d)
-
-
-def mm_mul(a: MagnusMatrix, b: MagnusMatrix, params: GroupParams) -> MagnusMatrix:
-    d, k = params.rank, params.nilclass
-    s_low = a.scalar[: len(a.module[0])]
-    module = tuple(
-        tuple(x + y for x, y in zip(_mul(s_low, mb, d, k - 1), ma))
-        for ma, mb in zip(a.module, b.module)
-    )
-    return MagnusMatrix(_mul(a.scalar, b.scalar, d, k), module)
-
-
-def mm_inv(a: MagnusMatrix, params: GroupParams) -> MagnusMatrix:
-    d, k = params.rank, params.nilclass
-    s_inv = _inv(a.scalar, d, k)
-    s_inv_low = s_inv[: len(a.module[0])]
-    module = tuple(tuple(-x for x in _mul(s_inv_low, m, d, k - 1)) for m in a.module)
-    return MagnusMatrix(s_inv, module)
-
-
-def mm_comm(a: MagnusMatrix, b: MagnusMatrix, params: GroupParams) -> MagnusMatrix:
-    inverses = mm_mul(mm_inv(a, params), mm_inv(b, params), params)
-    return mm_mul(inverses, mm_mul(a, b, params), params)
-
-
-def _gen_power(params: GroupParams, i: int, e: int) -> MagnusMatrix:
-    """Closed form of the i-th generator image raised to any integer power."""
-    d, k = params.rank, params.nilclass
-
-    def series(cap: int, shift: int) -> tuple:
-        # binom(e, r + shift) at X_i^r, r = 0..cap
-        index = _basis(d, cap).index
-        out = [0] * len(index)
-        for r in range(cap + 1):
-            out[index[tuple(r if j == i else 0 for j in range(d))]] = binom(e, r + shift)
-        return tuple(out)
-
-    mod = series(k - 1, 1)
-    zero = (0,) * len(mod)
-    return MagnusMatrix(series(k, 0), tuple(mod if j == i else zero for j in range(d)))
 
 
 def magnus_of_word(w: Word, params: GroupParams) -> MagnusMatrix:
@@ -251,11 +159,21 @@ def oracle_equal(w1: Word, w2: Word, params: GroupParams) -> bool:
     return magnus_of_word(x, params) == magnus_of_word(y, params)
 
 
-def _basic_matrix(seq: Basic, params: GroupParams) -> MagnusMatrix:
-    acc = _gen_power(params, seq[0], 1)
-    for g in seq[1:]:
-        acc = mm_comm(acc, _gen_power(params, g, 1), params)
-    return acc
+def _bracket(node, g: int, params: GroupParams) -> tuple[tuple[int, ...], ...]:
+    """The module part of [x, a_g], whose scalar is 1.  x is the generator of
+    index node, and the bracket is folded from its four letters, or x is in M'
+    with image (1, node): then [x, a_g] -> (1, ((1 + X_g)^-1 - 1) node) by the
+    product rule, one forward division sweep per entry, the fold's e = -1 sweep."""
+    if isinstance(node, int):
+        return magnus_of_word(Word(((node, -1), (g, -1), (node, 1), (g, 1))), params).module
+    steps = _basis(params.rank, params.nilclass - 1).steps[g]
+    out = []
+    for m in node:
+        q = list(m)
+        for i, p in steps:
+            q[i] -= q[p]
+        out.append(tuple(a - b for a, b in zip(q, m)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -291,27 +209,18 @@ def kernel_selfcheck(params: GroupParams) -> SelfCheckReport:
     for w in range(2, k + 1):
         for seq in enumerate_basics(params, w):
             checks += 1
-            if _basic_matrix(seq, params).is_identity():
+            m = reduce(lambda m, g: _bracket(m, g, params), seq[1:], seq[0])
+            if not any(map(any, m)):
                 failures.append(f"basic commutator {list(seq)} maps to the identity")
-    # depth-first extension by one generator at a time; identity nodes stay
-    # identity under further bracketing and can be pruned
-    def extend(mat: MagnusMatrix, depth: int):
-        nonlocal checks
-        if depth == k + 1:
-            checks += 1
-            if not mat.is_identity():
-                failures.append(f"a weight-{k + 1} bracket survives truncation")
-            return
-        for g in range(d):
-            nxt = mm_comm(mat, _gen_power(params, g, 1), params)
-            if nxt.is_identity() and depth + 1 < k + 1:
-                checks += 1
-                continue
-            extend(nxt, depth + 1)
-
-    if k >= 1:
-        for g1 in range(d):
-            extend(_gen_power(params, g1, 1), 1)
+    # left-normed generator brackets one weight at a time; a dead bracket stays
+    # dead under further bracketing, so below weight k+1 it is counted and dropped
+    level = list(range(d))
+    for w in range(2, k + 2):
+        level = [_bracket(node, g, params) for node in level for g in range(d)]
+        live = [m for m in level if any(map(any, m))]
+        checks += len(level) if w == k + 1 else len(level) - len(live)
+        level = live
+    failures += [f"a weight-{k + 1} bracket survives truncation"] * len(level)
     if d >= 2:
         for text in _SECOND_DERIVED_WITNESSES:
             if d < 3 and "c" in text:

@@ -30,6 +30,10 @@ class DomainError(ValueError):
     """An operation was applied outside its mathematical domain."""
 
 
+class PayloadError(ValueError):
+    """A JSON payload lacks a field or holds a value of the wrong type."""
+
+
 class EngineFault(RuntimeError):
     """An internal consistency check failed: a bug, never a verdict or bad input."""
 

@@ -418,6 +418,84 @@ def test_an_element_of_another_json_type_is_a_value_error_not_a_domain_error():
 
 
 @pytest.mark.parametrize(
+    "read, obj, message",
+    [
+        ("gen_inner_from_json", {"pairs": [{"u": "a"}]}, "'lambda'"),
+        ("gen_inner_from_json", {"pairs": [{"lambda": 1}]}, "'u'"),
+        ("spec_from_json", {"rank": 2, "class": 3}, "'images'"),
+        ("spec_from_json", {"images": ["a", "b"], "class": 3}, "'rank'"),
+        ("element_from_json", {"derived": [{"seq": [1, 0]}]}, "'coef'"),
+        ("element_from_json", {"exp": [0, "1"]}, 'expected an integer, got "1"'),
+        ("spec_from_json", 3, "argument of type 'int' is not iterable"),
+    ],
+    ids=["missing-lambda", "missing-u", "missing-images", "missing-rank", "missing-coef",
+         "string-integer", "payload-number"],
+)
+def test_every_library_payload_error_is_a_payload_error(read, obj, message):
+    # one ValueError subclass, with the message the CLI prints after
+    # "parse error: invalid payload: ", never a KeyError or a TypeError
+    with pytest.raises(metanil.PayloadError) as info:
+        getattr(metanil, read)(obj, metanil.GroupParams(2, 3))
+    assert isinstance(info.value, ValueError) and str(info.value) == message
+
+
+@pytest.mark.parametrize("raised", [KeyError((2, 2)), TypeError("(2, 2)"), ValueError("(2, 2)")],
+                         ids=["KeyError", "TypeError", "ValueError"])
+def test_an_engine_exception_is_an_internal_error_not_a_parse_error(capsys, monkeypatch, raised):
+    # a fault inside the engine is exit 5, never reported as bad input
+    import metanil.normality as normality
+
+    def broken(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(normality, "_layer_system", broken)
+    spec = '{"pairs": [{"u": "a b", "lambda": 1}]}'
+    code, out, err = run(capsys, "synthesize", "--rank", "2", "--class", "3", spec)
+    assert (code, out) == (5, "")
+    first, trace = err.split("\n", 1)
+    assert first == f"internal error: {type(raised).__name__}: (2, 2)"
+    assert trace.startswith("Traceback (most recent call last):") and "_layer_system" in trace
+
+
+def _big_pairs(digits):
+    lam = "7" * digits
+    return '{"pairs": [{"u": "a", "lambda": %s}, {"u": "b", "lambda": -%s}]}' % (lam, lam)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nf", "--rank", "2", "--class", "6", "(a b)^" + "9" * 1000),
+        ("nf", "--json", "--rank", "2", "--class", "6", "(a b)^" + "9" * 1000),
+        ("compose", "--rank", "2", "--class", "3", _big_pairs(3000), _big_pairs(3000)),
+    ],
+    ids=["nf", "nf-json", "compose"],
+)
+def test_a_result_past_the_int_to_string_limit_is_a_domain_error(capsys, argv):
+    # the result is computed, but Python will not print an int of more than
+    # sys.get_int_max_str_digits() digits: a domain error that names the limit
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (f"domain error: the result holds an integer of more than {limit} digits, "
+                   "Python's int-to-string limit\n")
+
+
+def test_input_past_the_int_to_string_limit_stays_a_parse_error(capsys, tmp_path):
+    # a 5000-digit JSON integer, and a payload file that is not UTF-8
+    lam = "1" * 5000
+    code, out, err = run(capsys, "invert", '{"pairs": [{"u": "a", "lambda": %s}]}' % lam)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err.startswith(f"parse error: invalid payload: Exceeds the limit ({limit} digits)")
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"images": ["a", "\xff"]}')
+    code, out, err = run(capsys, "synthesize", f"@{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: invalid payload: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("verify-paper", "--suite", "prop14", "--samples", "-3"),

@@ -23,6 +23,8 @@ into x^-1 f(x) with no Element built per bracket.  Data equality is not
 canonical for these maps, so the official equivalence everywhere is
 extensional (equal gen_inner_to_spec images); the stored pair list is only
 brought to a normal form that the bracket cannot distinguish from the input.
+is_inner reads a conjugator a^E v (v in M') off the defects in one pass, for
+bracketing a basic with the last generator only appends it (_read_off).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .core import (
     derived_element,
     element_from_json,
     element_to_json,
-    enumerate_basics,
     gen_element,
     identity,
     inverse,
@@ -450,62 +451,48 @@ def gen_inner_from_json(obj: dict, params: GroupParams | None = None) -> GenInne
 # --- inner-ness ----------------------------------------------------------------
 
 
-def _read_off(
-    params: GroupParams, w: int, defects: list[DVec]
-) -> tuple[Element, tuple[tuple[int, Basic], ...]]:
-    """Step w's factor of the conjugator, and the (generator, basic) defect
-    coordinates its coefficients are read from.
+def _read_off(params: GroupParams, defects: list[DVec]) -> Element:
+    """The conjugator u = a^E v (v in M') with [a_i, u] = s_i, read off the s_i.
 
-    Block d-1 of step w is a signed permutation: [a_(d-1), v] = -(v, d-1)
-    for a weight-w basic v, and at w = 1, [a_(d-1), a_j] = (d-1, j) for
-    j < d-1 and [a_0, a_(d-1)] = -(d-1, 0).  So each coefficient is forced
-    by one coordinate of the weight-(w+1) defect.
+    [a_i, a^E v] = [a_i, a^E] - D_i v, D_i v = [v, a_i].  E sits at weight 2:
+    [a_(d-1), a_j] = (d-1, j) for j < d-1, [a_0, a_(d-1)] = -(d-1, 0).  D_(d-1)
+    appends d-1 to a basic, so v is [a_(d-1), a^E] - s_(d-1) on the keys of
+    weight >= 3 ending in d-1, with that index dropped.  Each coefficient is
+    forced by one read coordinate: (d-1, 0) of s_0, and each of s_(d-1) that
+    starts (weight 2) or ends (weight >= 3) in d-1.
     """
-    d = params.rank
-    if w == 1:
-        read = tuple((d - 1, (d - 1, j)) for j in range(d - 1)) + ((0, (d - 1, 0)),)
-        exp = [defects[g].get(seq, 0) for g, seq in read]
-        exp[-1] = -exp[-1]
-        return _mk(params, exp, {}), read
-    read = tuple((d - 1, v + (d - 1,)) for v in enumerate_basics(params, w))
-    return derived_element(params, {seq[:-1]: -defects[g].get(seq, 0) for g, seq in read}), read
+    last = params.rank - 1
+    exp = [defects[last].get((last, j), 0) for j in range(last)]
+    exp.append(-defects[0].get((last, 0), 0))
+    dv: DVec = {}
+    _add_comm(dv, gen_element(params, last), _mk(params, exp, {}))
+    _vadd(dv, defects[last].items(), -1)
+    v = {seq[:-1]: c for seq, c in dv.items() if len(seq) > 2 and seq[-1] == last}
+    return _mk(params, exp, v)
 
 
 def is_inner(f: AutoSpec) -> Element | None:
     """A conjugating element realizing f, or None.
 
-    Layer-by-layer search for u with f = conjugation by u: step w finds the
-    weight-w part v of u, so that [a_i, v] cancels the weight-(w+1) layer
-    of the defect of a_i, for every generator a_i at once.  Each coefficient
-    of v is read off one defect coordinate (_read_off), so it is forced: the
-    answer is unique modulo the center, and a residual of the layer anywhere
-    else means f is not inner.  A read coordinate left nonzero is an engine
-    fault.
+    f(a_i) = a_i s_i collected, and conjugation by u sends a_i to a_i [a_i, u],
+    so f is conjugation by u exactly when every s_i - [a_i, u] vanishes.  The
+    u of _read_off is forced, so it is unique modulo the center, and a residual
+    means f is not inner; a read coordinate left nonzero is an engine fault.
     """
     if not is_ia(f):
         raise DomainError("only IA specs can be inner here")
     params = f.params
     require_enumerable(params, "is-inner")
-    k = params.nilclass
-    gens = [gen_element(params, i) for i in range(params.rank)]
-    # f(a_i) = a_i s_i collected, and conjugation by u sends a_i to
-    # a_i [a_i, u], so the remaining defect is s_i - [a_i, u] in M'.  It is
-    # updated per factor v: [a_i, u v] = [a_i, v] [a_i, u]^v, where u = 1 at
-    # step 1 and v lies in M' after it, acting trivially on the abelian M'
     defects = [img.dmap() for img in f.images]
-    u, read = identity(params), ()
-    for w in range(1, k + 1):
-        if any(defects[g].get(seq) for g, seq in read):
-            raise EngineFault(f"conjugator search leaves a read coordinate of layer {w} nonzero")
-        if any(len(seq) <= w for dm in defects for seq in dm):
-            return None
-        if not any(defects):
-            break
-        factor, read = _read_off(params, w, defects)
-        u = mul(u, factor)
-        for a, dm in zip(gens, defects):
-            _vadd(dm, commutator(a, factor).derived, -1)
-    return u
+    u = _read_off(params, defects)
+    for i, dm in enumerate(defects):
+        _add_comm(dm, gen_element(params, i), u, -1)
+    last = params.rank - 1  # the read coordinates, as _read_off names them
+    if defects[0].get((last, 0)) or any(
+        seq[-1 if len(seq) > 2 else 0] == last for seq in defects[last]
+    ):
+        raise EngineFault("conjugator search leaves a read coordinate nonzero")
+    return None if any(defects) else u
 
 
 # --- product maps x -> prod u_i^-1 x^e_i u_i ----------------------------------

@@ -692,7 +692,7 @@ def element_from_json(obj, params: GroupParams | None = None) -> Element:
     for t in json_list(obj.get("derived", []), "derived", objects=True):
         seq = tuple(json_int(b) for b in json_list(t["seq"], "seq"))
         vec[seq] = vec.get(seq, 0) + json_int(t["coef"])
-    exp = [json_int(e) for e in json_list(obj.get("exp", [0] * params.rank), "exp")]
+    exp = [json_int(e) for e in json_list(obj["exp"], "exp")] if "exp" in obj else [0] * params.rank
     derived = tuple(
         sorted(((s, c) for s, c in vec.items() if c), key=lambda p: (len(p[0]), p[0]))
     )

@@ -197,21 +197,29 @@ _SECOND_DERIVED_WITNESSES = (
 def kernel_selfcheck(params: GroupParams) -> SelfCheckReport:
     """Desk-scale audit that the truncation caps pin down the intended kernel.
 
-    Checks (a) no basic commutator of weight <= k dies, (b) every left-normed
-    generator bracket of weight k+1 dies, (c) fixed second-derived witness
-    words die.  Intended for rank <= 3, class <= 6.
+    Checks (a) the map is injective on M': the module image of each basic
+    (i, j, K) is +-1 at its own coordinate (e_i, X^(K + e_j)), where every
+    other basic of its weight or heavier is 0, so a relation among the images
+    has no term of its lowest weight; (b) every left-normed generator bracket
+    of weight k+1 dies, (c) fixed second-derived witness words die.  Intended
+    for rank <= 3, class <= 6.
     """
     d, k = params.rank, params.nilclass
     if d > 3 or k > 6:
         raise DomainError("self-check is a desk-scale audit: rank <= 3, class <= 6")
     failures = []
-    checks = 0
-    for w in range(2, k + 1):
-        for seq in enumerate_basics(params, w):
-            checks += 1
-            m = reduce(lambda m, g: _bracket(m, g, params), seq[1:], seq[0])
-            if not any(map(any, m)):
-                failures.append(f"basic commutator {list(seq)} maps to the identity")
+    images = {
+        seq: reduce(lambda m, g: _bracket(m, g, params), seq[1:], seq[0])
+        for w in range(2, k + 1) for seq in enumerate_basics(params, w)
+    }
+    index = _basis(d, k - 1).index
+    checks = len(images)
+    for seq, m in images.items():
+        i, c = seq[0], index[tuple(seq[1:].count(g) for g in range(d))]
+        if m[i][c] not in (1, -1) or any(
+            n[i][c] for o, n in images.items() if o != seq and len(o) >= len(seq)
+        ):
+            failures.append(f"basic commutator {list(seq)} is not read off its own coordinate")
     # left-normed generator brackets one weight at a time; a dead bracket stays
     # dead under further bracketing, so below weight k+1 it is counted and dropped
     level = list(range(d))

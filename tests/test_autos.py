@@ -997,7 +997,9 @@ def reference_is_inner(f):
     return u
 
 
-@pytest.mark.parametrize("d,k", [(2, 3), (2, 6), (3, 3), (3, 5), (4, 4), (4, 5), (5, 3)])
+@pytest.mark.parametrize(
+    "d,k", [(2, 3), (2, 6), (2, 8), (3, 3), (3, 5), (4, 4), (4, 5), (5, 3), (6, 4)]
+)
 def test_is_inner_matches_the_element_built_search(d, k):
     # conjugations, conjugations moved by one basic (inner or not, depending
     # on the basic), and random pair-data maps (mostly not inner)
@@ -1042,6 +1044,51 @@ def test_warm_is_inner_builds_no_matrix(monkeypatch):
     # three conjugations and one refusal per shape
     assert [u is None for u in cold] == [False, False, False, True] * 3
     assert [is_inner(spec) for spec in specs] == cold
+
+
+def test_is_inner_reads_the_conjugator_in_one_pass(monkeypatch):
+    # one read and one check: no element product and no basis enumeration
+    import metanil.core as core
+
+    def forbidden(*args):
+        raise AssertionError("is_inner multiplied elements or enumerated a basis")
+
+    rng = random.Random(21)
+    cases = []
+    for params in (P23, P35, GroupParams(4, 5), GroupParams(6, 4)):
+        u = mul(random_element(rng, params), random_derived_element(rng, params))
+        cases.append((conjugation_spec(params, u), random_ia_spec(rng, params)))
+    monkeypatch.setattr(autos, "mul", forbidden)
+    monkeypatch.setattr(core, "_basics_of_weight", forbidden)
+    for inner, other in cases:
+        u = is_inner(inner)
+        assert u is not None and is_inner(other) is None
+        images = [x.dmap() for x in inner.images]
+        for i, dm in enumerate(images):
+            _vadd(dm, commutator(gen_element(u.params, i), u).derived, -1)
+        assert not any(images)
+
+
+@pytest.mark.parametrize("wrong", ["exponent", "extra basic", "dropped basics"])
+def test_a_wrong_read_off_is_an_engine_fault(monkeypatch, wrong):
+    # whatever coordinate the read-off gets wrong, some coordinate it reads
+    # from is left nonzero: an engine fault, never a "not inner"
+    read_off = autos._read_off
+
+    def patched(params, defects):
+        u = read_off(params, defects)
+        if wrong == "exponent":
+            return mul(gen_element(params, 0), u)
+        if wrong == "extra basic":
+            return mul(u, derived_element(params, {(params.rank - 1, 0): 1}))
+        return truncate_weight(u, 2)
+
+    monkeypatch.setattr(autos, "_read_off", patched)
+    rng = random.Random(22)
+    params = GroupParams(3, 5)
+    u = mul(random_element(rng, params), derived_element(params, {(2, 1, 1): 1}))
+    with pytest.raises(EngineFault, match="conjugator search"):
+        is_inner(conjugation_spec(params, u))
 
 
 def test_is_inner_identity_and_domain():

@@ -344,6 +344,25 @@ def test_negative_bracket_index_is_a_domain_error(capsys, argv):
     assert err == "domain error: (1, -1) is not a basic commutator here\n"
 
 
+HUGE_RANK_ELEMENT = '{"rank": 100000000000000000000, "class": 3, "exp": [1, 0]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", '{"images": ["a", "b"]}', HUGE_RANK_ELEMENT),
+        ("synthesize", '{"rank": 2, "class": 3, "images": [%s, "b"]}' % HUGE_RANK_ELEMENT),
+    ],
+    ids=["apply-element", "synthesize-image"],
+)
+def test_an_element_naming_a_huge_rank_with_its_exp_is_a_domain_error(capsys, argv):
+    # the exp default is built only when exp is absent, so a rank of 10**20
+    # meets the length check (exit 3), not a list of that length (exit 5)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "domain error: exponent vector length does not match rank\n"
+
+
 def _pair_with_u(element):
     return '{"pairs": [{"u": %s, "lambda": 1}]}' % json.dumps(element)
 
@@ -539,9 +558,8 @@ def test_engine_fault_exits_5(capsys, monkeypatch):
 
     read_off = autos._read_off
 
-    def off_by_one(params, w, defects):
-        factor, read = read_off(params, w, defects)
-        return mul(gen_element(params, 0), factor), read
+    def off_by_one(params, defects):
+        return mul(gen_element(params, 0), read_off(params, defects))
 
     monkeypatch.setattr(autos, "_read_off", off_by_one)
     spec = '{"pairs": [{"u": "a b", "lambda": 1}]}'

@@ -91,6 +91,19 @@ def test_kernel_selfcheck_counts(d, k, checks):
     assert rep.checks == checks
 
 
+@pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 5)])
+def test_kernel_selfcheck_sees_a_map_that_is_not_injective(monkeypatch, d, k):
+    # bracketing with a_0 whatever the generator gives same-weight basics the
+    # same image: no basic dies, but their images are not independent
+    import metanil.magnus as magnus
+
+    bracket = magnus._bracket
+    monkeypatch.setattr(magnus, "_bracket", lambda node, g, params: bracket(node, 0, params))
+    rep = kernel_selfcheck(GroupParams(d, k))
+    assert not rep.ok
+    assert any(f.endswith("is not read off its own coordinate") for f in rep.failures)
+
+
 @pytest.mark.parametrize("d,k", [(2, 5), (3, 4), (3, 6), (4, 4)])
 def test_bracket_step_matches_the_folded_commutator(d, k):
     # [w, a_g] for w in M': the audit's division sweep against the fold of

@@ -617,9 +617,8 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
             x = [x[0] + 1] + list(x[1:])
         return x, cert
 
-    def read_a0_off_by_one(params, w, defects):
-        factor, read = read_off(params, w, defects)
-        return mul(gen_element(params, 0), factor), read
+    def read_a0_off_by_one(params, defects):
+        return mul(gen_element(params, 0), read_off(params, defects))
 
     monkeypatch.setattr(autos, "_read_off", read_a0_off_by_one)
     monkeypatch.setattr(
@@ -631,11 +630,11 @@ def test_internal_inconsistency_raises_instead_of_refusing(monkeypatch, capsys):
         synthesize_gen_inner(f)
     with pytest.raises(EngineFault, match="conjugator search"):
         is_inner(f)
-    # at class 3 the wrong step-1 coefficient leaves the weight-2 coordinate
-    # it was read from nonzero; that is the same fault, not a "not inner"
+    # at class 3 the wrong exponent leaves the weight-2 coordinate it was
+    # read from nonzero; that is the same fault, not a "not inner"
     p = GroupParams(2, 3)
     f = gen_inner_to_spec(GenInnerData(p, ((collect_text("a b", p), 1),)))
-    with pytest.raises(EngineFault):
+    with pytest.raises(EngineFault, match="conjugator search"):
         is_inner(f)
     # only the layer-2 solve of the decision is off: the layers are solved
     # independently, so the final audit catches it, and the CLI reports

@@ -77,16 +77,15 @@ from .intsolve import (
 )
 from .normality import (
     NotGeneralizedInner,
-    closure_membership,
     delta_basis_rewrite,
     delta_min,
     delta_rewrite_injective,
     enumerate_deltas,
     eval_delta_comm,
-    normal_closure_top_generators,
     poly_to_gen_inner,
     synthesize_gen_inner,
 )
+from .verify import closure_membership, normal_closure_top_generators
 
 __version__ = "0.1.0"
 

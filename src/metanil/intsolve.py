@@ -6,12 +6,12 @@ basis of the solution lattice's kernel, or an explicit infeasibility
 certificate: a row vector u with u*A == 0 (mod m) but u*b != 0 (mod m),
 which any third party can re-verify by hand.
 
-The Smith form serves only small systems: lemma 3.1 closure membership
-(through ``integer_solve``), the lemma 3.2 rewrite-injectivity certificate
-and the abelianization of a non-IA map.  It is the classical dense
-elimination.  (Kannan and Bachem, SIAM J. Comput. 1979, give a
-polynomial-time variant with bounded entry growth; it is not the one that
-runs here.)
+The Smith form serves only small systems: Lemma 3.1 closure membership in
+``verify`` (through ``integer_solve``), the Lemma 3.2 full-rank certificate
+on a block of the decision's own top-layer system, and the abelianization
+of a non-IA map.  It is the classical dense elimination.  (Kannan and
+Bachem, SIAM J. Comput. 1979, give a polynomial-time variant with bounded
+entry growth; it is not the one that runs here.)
 
 The decision engine's systems need no Smith form: each comes with ±1 pivots
 in a triangular order (named in closed form by ``normality._layer_system``),

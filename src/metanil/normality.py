@@ -58,16 +58,18 @@ unit lower triangular.  The columns span a direct summand, A x = b is
 solvable over Z exactly when it is over Q, and an infeasible layer comes
 back as an exact certificate (modulus 0).  _layer_system checks all of
 this on every system it builds and raises EngineFault if it fails.  Full
-column rank is the independence of the rewritten symbols (certified again
-on the Smith form by delta_rewrite_injective), so feasibility is
-equivalent to the defect being generalized inner.
+column rank is the independence of the rewritten symbols, so feasibility is
+equivalent to the defect being generalized inner.  Lemma 3.2 reads these
+same systems: delta_basis_rewrite sums block s of the top-layer columns
+(checked against collection by the lemma32 suite), and
+delta_rewrite_injective certifies their rank again on the Smith form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .autos import (
     AutoSpec,
@@ -85,26 +87,18 @@ from .core import (
     _mk,
     commutator,
     enumerate_basics,
-    gamma_layer,
     gen_element,
-    left_normed,
     left_normed_rep,
     mul,
-    normalize_left_normed,
-    power,
     require_enumerable,
 )
-from .intsolve import PeeledSystem, integer_solve, smith_normal_form, solve_peeled
+from .intsolve import PeeledSystem, smith_normal_form, solve_peeled
 from .words import DomainError, EngineFault, GroupParams
 
 Delta = tuple[int, ...]
 
 
 # --- the bracket-symbol calculus ---------------------------------------------
-
-
-def delta_degree(delta: Delta) -> int:
-    return sum(delta)
 
 
 def delta_min(delta: Delta) -> int:
@@ -117,13 +111,12 @@ def delta_min(delta: Delta) -> int:
 
 def enumerate_deltas(nslots: int, degree: int) -> list[Delta]:
     """All multiplicity functions on nslots slots of the given degree, lex order."""
-    if nslots == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree + 1):
-        for rest in enumerate_deltas(nslots - 1, degree - first):
-            out.append((first,) + rest)
-    return out
+    if degree < 0:
+        return []
+    return [
+        tuple(ms.count(g) for g in range(nslots))
+        for ms in reversed(list(combinations_with_replacement(range(nslots), degree)))
+    ]
 
 
 def _delta_tail(delta: Delta) -> tuple[int, ...]:
@@ -146,65 +139,21 @@ def eval_delta_comm(x: Element, y: Element, delta: Delta) -> Element:
     return acc
 
 
-# --- top-layer generators of a normal closure ---------------------------------
+# --- Lemma 3.2, read off the decision's own layer systems ----------------------
 
 
-def normal_closure_top_generators(
-    a_idx: int,
-    b_idx: int,
-    t: int,
-    params: GroupParams,
-) -> list[Element]:
-    """The brackets [a^t b, c_1, ..., c_{k-1}], c_i over the generators.
-
-    These generate the intersection of the normal closure of a^t b with the
-    top layer.
-    """
-    if a_idx == b_idx:
-        raise DomainError("need two distinct generators")
-    if params.nilclass <= 1:
-        raise DomainError("top-layer generators need class > 1")
-    base = mul(power(gen_element(params, a_idx), t), gen_element(params, b_idx))
-    out = []
-    for cs in product(range(params.rank), repeat=params.nilclass - 1):
-        out.append(left_normed([base] + [gen_element(params, c) for c in cs]))
-    return out
-
-
-def closure_membership(
-    w: Element, gens: list[Element]
-) -> list[int] | None:
-    """Coefficients expressing w over gens in top-layer coordinates, or None."""
-    k = w.params.nilclass
-    b = gamma_layer(w, k)
-    cols = [gamma_layer(g, k) for g in gens]
-    a = [[col[r] for col in cols] for r in range(len(b))]
-    res = integer_solve(a, b)
-    return None if res is None else res[0]
-
-
-# --- rewriting products of bracket symbols into the basis ---------------------
-
-
-def _check_assignment(eps: dict, s: int, params: GroupParams) -> None:
+def _symbol_block(s: int, params: GroupParams) -> tuple[tuple[dict[int, int], ...], dict]:
+    """Block s of the top-layer system (column c holds [a_s, a_i, D]) and c of each (i, D)."""
     d, k = params.rank, params.nilclass
     if not 0 <= s < d:
         raise DomainError(f"head index {s} out of range")
-    degree = k - 2
-    if degree < 0:
+    if k < 2:
         raise DomainError("ambient class must be at least 2")
-    for (i, delta) in eps:
-        if not 0 <= i < d:
-            raise DomainError(f"symbol index {i} out of range")
-        if len(delta) > d:
-            raise DomainError("delta has more slots than generators")
-        if any(v < 0 for v in delta):
-            raise DomainError(f"delta {delta} has a negative multiplicity")
-        if delta_degree(delta) != degree:
-            raise DomainError(
-                f"delta {delta} has degree {delta_degree(delta)}, ambient class "
-                f"{k} needs degree {degree}"
-            )
+    if d < 2:
+        raise DomainError("bracket symbols need rank >= 2")
+    (rows, _, _), cols = _layer_system(d, k)
+    nb = len(rows) // d
+    return rows[s * nb : (s + 1) * nb], {col: c for c, col in enumerate(cols)}
 
 
 def delta_basis_rewrite(
@@ -212,38 +161,33 @@ def delta_basis_rewrite(
 ) -> list[int]:
     """Top-layer coordinates of prod [a_s, a_i, D]^eps(i, D), symbolically.
 
-    [a_s, a_i, D] is the left-normed generator bracket (s, i) + T, T the
-    indices of D in ascending order, so each symbol is rewritten by
-    core.normalize_left_normed: kept or inverted when its head is already
-    in basic position, else split once by [x, y, z] = [y, z, x]^-1 [x, z, y]
-    (R1-R3 of the module docstring).  Entries with i = s vanish.
+    Each symbol is read off block s of column (i, D) of the top-layer system
+    that synthesize solves (R1-R3 of the module docstring); a D shorter than
+    the rank is padded with zeros.  Entries with i = s vanish.
     """
-    _check_assignment(eps, s, params)
-    out: dict[tuple[int, ...], int] = {}
+    d, k = params.rank, params.nilclass
+    block, index = _symbol_block(s, params)
+    x: dict[int, int] = {}
     for (i, delta), coef in eps.items():
-        for seq, x in normalize_left_normed((s, i) + _delta_tail(delta), params).items():
-            out[seq] = out.get(seq, 0) + coef * x
-    return [out.get(seq, 0) for seq in enumerate_basics(params, params.nilclass)]
+        c = index.get((i, tuple(delta) + (0,) * (d - len(delta))))
+        if c is None:
+            raise DomainError(f"{(i, delta)} is not a bracket symbol (i, D), D of degree {k - 2}")
+        x[c] = x.get(c, 0) + coef
+    return [sum(v * x.get(c, 0) for c, v in row.items()) for row in block]
 
 
 def delta_rewrite_injective(s: int, params: GroupParams) -> tuple[bool, dict]:
     """Certify that (i, D) -> top-layer vector is injective for i != s.
 
     Returns the verdict plus a certificate with the elementary divisors of
-    the rewrite matrix; injectivity over Z is full column rank.
+    block s of the top-layer system, on its columns with i != s; injectivity
+    over Z is full column rank.
     """
-    d, k = params.rank, params.nilclass
-    if d < 2:
+    if params.rank < 2:
         raise DomainError("independence needs rank >= 2")
-    _check_assignment({}, s, params)
-    deltas = enumerate_deltas(d, k - 2)
-    columns = [
-        delta_basis_rewrite({(i, delta): 1}, s, params)
-        for i in range(d)
-        if i != s
-        for delta in deltas
-    ]
-    diag = smith_normal_form(list(zip(*columns)))[1]
+    block, index = _symbol_block(s, params)
+    columns = [c for (i, _), c in index.items() if i != s]
+    diag = smith_normal_form([[row.get(c, 0) for c in columns] for row in block])[1]
     divisors = [diag[i][i] for i in range(min(len(diag), len(columns))) if diag[i][i]]
     cert = {
         "columns": len(columns),

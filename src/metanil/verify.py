@@ -1,4 +1,5 @@
-"""Pinned verification suites and the random samplers they share with the tests.
+"""Pinned verification suites, the random samplers they share with the tests,
+and the Lemma 3.1 normal-closure helpers that only the lemma31 suite uses.
 
 Every suite is deterministic given (seed, samples): reports are built from
 fixed iteration orders, so identical configurations produce byte-identical
@@ -37,18 +38,17 @@ from .core import (
     mul,
     power,
 )
+from .intsolve import integer_solve
 from .magnus import kernel_selfcheck, oracle_equal
 from .normality import (
     NotGeneralizedInner,
-    closure_membership,
     delta_basis_rewrite,
     delta_rewrite_injective,
     enumerate_deltas,
     eval_delta_comm,
-    normal_closure_top_generators,
     synthesize_gen_inner,
 )
-from .words import GroupParams, Word, commutator_word
+from .words import DomainError, GroupParams, Word, commutator_word
 
 
 # --- samplers ------------------------------------------------------------------
@@ -306,6 +306,43 @@ def suite_cor23(cfg: CliConfig) -> SuiteReport:
         f"{bad} failures",
     )
     return rep
+
+
+# --- Lemma 3.1: top-layer generators of a normal closure ---------------------------
+
+
+def normal_closure_top_generators(
+    a_idx: int,
+    b_idx: int,
+    t: int,
+    params: GroupParams,
+) -> list[Element]:
+    """The brackets [a^t b, c_1, ..., c_{k-1}], c_i over the generators.
+
+    These generate the intersection of the normal closure of a^t b with the
+    top layer.
+    """
+    if a_idx == b_idx:
+        raise DomainError("need two distinct generators")
+    if params.nilclass <= 1:
+        raise DomainError("top-layer generators need class > 1")
+    base = mul(power(gen_element(params, a_idx), t), gen_element(params, b_idx))
+    out = []
+    for cs in product(range(params.rank), repeat=params.nilclass - 1):
+        out.append(left_normed([base] + [gen_element(params, c) for c in cs]))
+    return out
+
+
+def closure_membership(
+    w: Element, gens: list[Element]
+) -> list[int] | None:
+    """Coefficients expressing w over gens in top-layer coordinates, or None."""
+    k = w.params.nilclass
+    b = gamma_layer(w, k)
+    cols = [gamma_layer(g, k) for g in gens]
+    a = [[col[r] for col in cols] for r in range(len(b))]
+    res = integer_solve(a, b)
+    return None if res is None else res[0]
 
 
 def suite_lemma31(cfg: CliConfig) -> SuiteReport:

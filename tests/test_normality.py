@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from metanil import normality
 from metanil.autos import (
     AutoSpec,
     GenInnerData,
@@ -32,23 +33,24 @@ from metanil.normality import (
     NotGeneralizedInner,
     _delta_tail,
     _layer_system,
-    closure_membership,
     delta_basis_rewrite,
-    delta_degree,
     delta_min,
     delta_rewrite_injective,
     enumerate_deltas,
     eval_delta_comm,
-    normal_closure_top_generators,
     poly_to_gen_inner,
     synthesize_gen_inner,
 )
 from metanil.verify import (
+    CliConfig,
+    closure_membership,
     golden_ia_triple,
+    normal_closure_top_generators,
     poly_pairs_of_gen_inner,
     random_element,
     random_gen_inner,
     random_ia_spec,
+    verify_paper,
 )
 from metanil.words import DomainError, EngineFault, GroupParams
 
@@ -61,7 +63,6 @@ P33 = GroupParams(3, 3)
 
 def test_delta_helpers():
     assert delta_min((0, 2, 1)) == 1
-    assert delta_degree((0, 2, 1)) == 3
     with pytest.raises(DomainError):
         delta_min((0, 0))
 
@@ -71,6 +72,20 @@ def test_enumerate_deltas():
     assert out == [(0, 2), (1, 1), (2, 0)]
     assert all(sum(d) == 3 for d in enumerate_deltas(3, 3))
     assert len(enumerate_deltas(3, 3)) == 10
+
+
+@pytest.mark.parametrize(
+    "nslots,degree,expect",
+    [(0, 0, [()]), (0, 2, []), (1, -1, []), (2, -1, []), (3, -2, [])]
+    + [
+        # ascending lex order on the count vectors, as the layer systems order columns
+        (n, k, sorted(v for v in product(range(k + 1), repeat=n) if sum(v) == k))
+        for n in range(1, 7)
+        for k in range(7)
+    ],
+)
+def test_enumerate_deltas_table(nslots, degree, expect):
+    assert enumerate_deltas(nslots, degree) == expect
 
 
 def test_eval_delta_comm_base_cases():
@@ -216,6 +231,8 @@ def test_rewrite_agrees_with_direct_collection():
 def test_rewrite_degree_validation():
     with pytest.raises(DomainError):
         delta_basis_rewrite({(0, (1, 1)): 1}, 1, P23)  # degree 2, class 3 needs 1
+    with pytest.raises(DomainError, match="rank >= 2"):
+        delta_basis_rewrite({}, 0, GroupParams(1, 3))
     # below class 2 there is no rewrite, so no full-rank certificate either
     with pytest.raises(DomainError, match="ambient class must be at least 2"):
         delta_rewrite_injective(0, GroupParams(2, 1))
@@ -228,16 +245,39 @@ def test_rewrite_degree_validation():
         ({(1, (1, 0, 0)): 1}, -1, "head index"),
         ({(1, (1, 1, 0)): 1}, 0, "degree"),
         ({(1, ()): 1}, 0, "degree"),
-        ({(3, (1, 0, 0)): 1}, 0, "symbol index"),
-        ({(1, (2, -1, 0)): 1}, 0, "negative multiplicity"),
+        ({(3, (1, 0, 0)): 1}, 0, "bracket symbol"),
+        ({(1, (2, -1, 0)): 1}, 0, "bracket symbol"),
     ],
 )
 def test_public_rewrite_checks_what_the_layer_systems_skip(eps, s, match):
-    # _layer_system builds its own columns and rewrites them unchecked; the
-    # public rewrite still refuses a bad head, a bad symbol, a wrong degree
-    # and a negative multiplicity
+    # the rewrite reads only the columns (i, D) of the top-layer system; a bad
+    # head, a bad symbol, a wrong degree or a negative multiplicity is refused
     with pytest.raises(DomainError, match=match):
         delta_basis_rewrite(eps, s, P33)
+
+
+def test_rewrite_pads_a_short_delta_and_refuses_a_long_one():
+    assert delta_basis_rewrite({(1, (1,)): 1}, 0, P33) == delta_basis_rewrite(
+        {(1, (1, 0, 0)): 1}, 0, P33
+    )
+    with pytest.raises(DomainError, match=r"\(1, \(1, 0, 0, 0\)\) is not a .* degree 1"):
+        delta_basis_rewrite({(1, (1, 0, 0, 0)): 1}, 0, P33)
+
+
+def test_lemma32_suite_reads_the_decisions_layer_systems(monkeypatch):
+    # one wrong entry in the systems that synthesize solves must fail the
+    # suite that checks the rewrite against collection
+    real = normality._layer_system
+
+    def skewed(d, w):
+        (rows, pivots, free), cols = real(d, w)
+        row0 = dict(rows[0])
+        row0[0] = row0.get(0, 0) + 1
+        return ((row0,) + rows[1:], pivots, free), cols
+
+    assert verify_paper("lemma32", CliConfig(0, 25)).ok
+    monkeypatch.setattr(normality, "_layer_system", skewed)
+    assert not verify_paper("lemma32", CliConfig(0, 25)).ok
 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])

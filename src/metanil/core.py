@@ -83,8 +83,8 @@ def all_basics(params: GroupParams) -> tuple[Basic, ...]:
     return _all_basics(params.rank, params.nilclass)
 
 
-# The largest basis (weights 2..k) that the decisions enumerate: about 1.5x
-# the 13 014 basics of (9,6), whose cold synthesize takes under a second.
+# The largest basis (weights 2..k) that synthesize enumerates and is-inner
+# accepts: about 1.5x the 13 014 basics of (9,6), cold synthesize under 1 s.
 MAX_BASICS = 20_000
 
 
@@ -104,11 +104,11 @@ def basis_size(params: GroupParams) -> int:
 
 
 def require_enumerable(params: GroupParams, verb: str) -> None:
-    """Refuse, before any enumeration, a shape whose basis exceeds MAX_BASICS."""
+    """Refuse, before any work, a shape whose basis exceeds MAX_BASICS."""
     n = basis_size(params)
     if n > MAX_BASICS:
         raise DomainError(
-            f"{verb} at rank {params.rank}, class {params.nilclass} would enumerate "
+            f"{verb} at rank {params.rank}, class {params.nilclass}: the basis has "
             f"{n} basic commutators, over the limit of {MAX_BASICS}"
         )
 

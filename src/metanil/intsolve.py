@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, lattice solving, triangular solves.
+"""Exact integer linear algebra: Smith normal form and lattice solving.
 
 Matrices are plain lists of lists of Python ints, so coefficients can grow
 without bound.  The solver returns a particular solution together with a
@@ -12,10 +12,6 @@ on a block of the decision's own top-layer system, and the abelianization
 of a non-IA map.  It is the classical dense elimination.  (Kannan and
 Bachem, SIAM J. Comput. 1979, give a polynomial-time variant with bounded
 entry growth; it is not the one that runs here.)
-
-The decision engine's systems need no Smith form: each comes with ±1 pivots
-in a triangular order (named in closed form by ``normality._layer_system``),
-and ``solve_peeled`` solves by substitution, refusing exactly.
 """
 
 from __future__ import annotations
@@ -102,46 +98,6 @@ class InfeasibilityCertificate:
     row: tuple[int, ...]
     modulus: int
     value: int
-
-    def to_json(self) -> dict:
-        return {"row": list(self.row), "modulus": self.modulus, "value": self.value}
-
-
-# A's rows as {column: value} dicts, the (row, column) ±1 pivots in a triangular order
-# (each pivot row's other entries lie in earlier pivot columns), the other rows
-PeeledSystem = tuple[tuple[dict[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...]]
-
-
-def solve_peeled(
-    system: PeeledSystem, b: list[int]
-) -> tuple[list[int] | None, InfeasibilityCertificate | None]:
-    """The unique solution of A x = b for a triangular PeeledSystem, or an exact certificate.
-
-    Back-substitution along the pivot rows costs the nonzeros of A.  The
-    first other row r left with a residual gives u = e_r - sum_p y_p e_(r_p),
-    u A = 0: y clears u A latest pivot first, integrally as pivots are ±1,
-    until it is zero.
-    """
-    rows, pivots, free = system
-    if len(b) != len(rows):
-        raise DomainError(f"dimension mismatch: {len(rows)} rows vs {len(b)} entries")
-    x = [0] * len(pivots)
-    for r, c in pivots:  # x[c] is still 0, so the sum runs over earlier pivots
-        x[c] = (b[r] - sum(v * x[j] for j, v in rows[r].items())) * rows[r][c]
-    for r in free:
-        if residual := b[r] - sum(v * x[j] for j, v in rows[r].items()):
-            u = [int(i == r) for i in range(len(rows))]
-            live = dict(rows[r])  # the nonzero entries of u A
-            for rp, c in reversed(pivots):
-                if not live:
-                    break
-                if y := live.get(c, 0) * rows[rp][c]:
-                    u[rp] = -y
-                    for j, v in rows[rp].items():
-                        live[j] = live.get(j, 0) - y * v
-                    live = {j: v for j, v in live.items() if v}
-            return None, InfeasibilityCertificate(tuple(u), 0, residual)
-    return x, None
 
 
 Solution = tuple[list[int] | None, list[list[int]] | None, InfeasibilityCertificate | None]

@@ -55,14 +55,15 @@ whose entry is ±1 by R1 and by R2 with s = m.
 So with the case-2 columns first and the case-1 columns after them, each
 pivot row's other entries lie in earlier pivot columns: the pivot block is
 unit lower triangular.  The columns span a direct summand, A x = b is
-solvable over Z exactly when it is over Q, and an infeasible layer comes
-back as an exact certificate (modulus 0).  _layer_system checks all of
-this on every system it builds and raises EngineFault if it fails.  Full
-column rank is the independence of the rewritten symbols, so feasibility is
-equivalent to the defect being generalized inner.  Lemma 3.2 reads these
-same systems: delta_basis_rewrite sums block s of the top-layer columns
-(checked against collection by the lemma32 suite), and
-delta_rewrite_injective certifies their rank again on the Smith form.
+solvable over Z exactly when it is over Q, solve_peeled solves it by
+substitution, and an infeasible layer comes back as an exact certificate
+(modulus 0).  _layer_system checks all of this on every system it builds
+and raises EngineFault if it fails.  Full column rank is the independence
+of the rewritten symbols, so feasibility is equivalent to the defect being
+generalized inner.  Lemma 3.2 reads these same systems: delta_basis_rewrite
+sums block s of the top-layer columns (checked against collection by the
+lemma32 suite), and delta_rewrite_injective certifies their rank again on
+the Smith form.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ from .core import (
     mul,
     require_enumerable,
 )
-from .intsolve import PeeledSystem, smith_normal_form, solve_peeled
+from .intsolve import smith_normal_form
 from .words import DomainError, EngineFault, GroupParams
 
 Delta = tuple[int, ...]
@@ -225,6 +226,11 @@ def _pivot(i: int, delta: Delta, d: int) -> tuple[bool, int, tuple[int, ...]]:
     return False, j, (max(i, j), min(i, j)) + _delta_tail(delta)
 
 
+# A's rows as {column: value} dicts, the (row, column) ±1 pivots in a triangular order
+# (each pivot row's other entries lie in earlier pivot columns), the other rows
+PeeledSystem = tuple[tuple[dict[int, int], ...], tuple[tuple[int, int], ...], tuple[int, ...]]
+
+
 @lru_cache(maxsize=64)
 def _layer_system(d: int, w: int) -> tuple[PeeledSystem, tuple[tuple[int, Delta], ...]]:
     """The weight-w matching system at rank d, on its named pivots, and its (i, D) columns.
@@ -257,6 +263,34 @@ def _layer_system(d: int, w: int) -> tuple[PeeledSystem, tuple[tuple[int, Delta]
         fixed.add(c)
     free = tuple(sorted(set(range(len(rows))) - {r for r, _ in pivots}))
     return (tuple(rows), pivots, free), cols
+
+
+def solve_peeled(system: PeeledSystem, b: list[int]) -> tuple[list[int] | None, dict | None]:
+    """The unique solution of A x = b for a triangular PeeledSystem, or an exact certificate.
+
+    Back-substitution along the pivot rows costs the nonzeros of A.  The
+    first other row r left with a residual gives u = e_r - sum_p y_p e_(r_p),
+    u A = 0: y clears u A latest pivot first, integrally as pivots are ±1,
+    until it is zero.
+    """
+    rows, pivots, free = system
+    x = [0] * len(pivots)
+    for r, c in pivots:  # x[c] is still 0, so the sum runs over earlier pivots
+        x[c] = (b[r] - sum(v * x[j] for j, v in rows[r].items())) * rows[r][c]
+    for r in free:
+        if residual := b[r] - sum(v * x[j] for j, v in rows[r].items()):
+            u = [int(i == r) for i in range(len(rows))]
+            live = dict(rows[r])  # the nonzero entries of u A
+            for rp, c in reversed(pivots):
+                if not live:
+                    break
+                if y := live.get(c, 0) * rows[rp][c]:
+                    u[rp] = -y
+                    for j, v in rows[rp].items():
+                        live[j] = live.get(j, 0) - y * v
+                    live = {j: v for j, v in live.items() if v}
+            return None, {"row": u, "modulus": 0, "value": residual}
+    return x, None
 
 
 def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
@@ -300,7 +334,7 @@ def synthesize_gen_inner(f: AutoSpec) -> GenInnerData | NotGeneralizedInner:
         if x is None:
             nb = len(basics)
             witness = next((j for j in range(d) if any(b[j * nb : (j + 1) * nb])), 0)
-            return NotGeneralizedInner(witness, w, cert.to_json())
+            return NotGeneralizedInner(witness, w, cert)
         terms += [
             (tuple(gens[g].exp for g in (i, *_delta_tail(delta))), (), coef)
             for (i, delta), coef in zip(cols, x)

@@ -192,10 +192,10 @@ class CliConfig:
 # --- pinned golden block -----------------------------------------------------------
 
 
-def golden_ia_triple(params: GroupParams | None = None):
+def golden_ia_triple():
     """The three pinned IA maps on rank 3, class 5: each moves one generator
     by the bracket with the next one around the cycle a -> b -> c -> a."""
-    p = params or GroupParams(3, 5)
+    p = GroupParams(3, 5)
     a, b, c = (gen_element(p, i) for i in range(3))
     f = AutoSpec(p, (collect_text("a [a,b]", p), b, c))
     g = AutoSpec(p, (a, collect_text("b [b,c]", p), c))

@@ -38,22 +38,26 @@ class EngineFault(RuntimeError):
     """An internal consistency check failed: a bug, never a verdict or bad input."""
 
 
-@dataclass(frozen=True)
-class GroupParams:
+MAX_RANK = 1 << 16  # each exponent vector holds one int per generator; README gives the cost
+
+
+class GroupParams(namedtuple("GroupParams", "rank nilclass")):
     """Rank d and nilpotency class k of the ambient group.
 
-    The generating set is the index set 0..d-1; nonabelian statements
-    (automorphism decisions in particular) additionally require d >= 2.
+    The generating set is the index set 0..d-1, d <= MAX_RANK; nonabelian
+    statements (automorphism decisions in particular) also require d >= 2.
     """
 
-    rank: int
-    nilclass: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise DomainError(f"rank must be >= 1, got {self.rank}")
-        if self.nilclass < 1:
-            raise DomainError(f"class must be >= 1, got {self.nilclass}")
+    def __new__(cls, rank: int, nilclass: int):
+        if rank < 1:
+            raise DomainError(f"rank must be >= 1, got {rank}")
+        if rank > MAX_RANK:
+            raise DomainError(f"rank must be <= {MAX_RANK}, got {rank}")
+        if nilclass < 1:
+            raise DomainError(f"class must be >= 1, got {nilclass}")
+        return super().__new__(cls, rank, nilclass)
 
 
 def generator_name(i: int) -> str:

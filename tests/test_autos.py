@@ -1031,7 +1031,7 @@ def test_warm_is_inner_builds_no_matrix(monkeypatch):
     def solved(*args):
         raise AssertionError("the conjugator search solved a linear system")
 
-    for name in ("smith_normal_form", "integer_solve_explain", "solve_peeled"):
+    for name in ("smith_normal_form", "integer_solve_explain"):
         monkeypatch.setattr(intsolve, name, solved)
     rng = random.Random(18)
     specs = []

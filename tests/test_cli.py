@@ -109,7 +109,7 @@ def test_oversized_basis_is_refused_before_enumeration(capsys, monkeypatch, verb
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert err == (
-        f"domain error: {verb} at rank 12, class 8 would enumerate 478687 basic "
+        f"domain error: {verb} at rank 12, class 8: the basis has 478687 basic "
         "commutators, over the limit of 20000\n"
     )
 
@@ -356,11 +356,33 @@ HUGE_RANK_ELEMENT = '{"rank": 100000000000000000000, "class": 3, "exp": [1, 0]}'
     ids=["apply-element", "synthesize-image"],
 )
 def test_an_element_naming_a_huge_rank_with_its_exp_is_a_domain_error(capsys, argv):
-    # the exp default is built only when exp is absent, so a rank of 10**20
-    # meets the length check (exit 3), not a list of that length (exit 5)
+    # the group is refused on its rank (exit 3) before the exp is read, so no
+    # list of that length is built (exit 5)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == "domain error: exponent vector length does not match rank\n"
+    assert err == "domain error: rank must be <= 65536, got 100000000000000000000\n"
+
+
+@pytest.mark.parametrize("rank", [1 << 40, 10**20])
+@pytest.mark.parametrize("verb", ["nf", "apply-element", "synthesize"])
+def test_a_rank_no_exponent_vector_can_hold_is_a_domain_error(capsys, verb, rank):
+    # a rank past MAX_RANK is refused when the group is made, before any
+    # vector of that length is built: exit 3, not a MemoryError or an
+    # OverflowError (exit 5)
+    group = '"rank": %d, "class": 3' % rank
+    argv = {
+        "nf": ("nf", "--rank", str(rank), "--class", "3", "a"),
+        "apply-element": ("apply", '{"images": ["a", "b"]}', "{%s}" % group),
+        "synthesize": ("synthesize", '{%s, "images": ["a", "b"]}' % group),
+    }[verb]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"domain error: rank must be <= 65536, got {rank}\n"
+
+
+def test_the_largest_rank_is_answered(capsys):
+    code, out, _ = run(capsys, "nf", "--rank", "65536", "--class", "3", "a")
+    assert (code, out) == (0, "a\n")
 
 
 def _pair_with_u(element):

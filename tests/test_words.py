@@ -5,6 +5,7 @@ import pytest
 
 from metanil.core import collect, collect_text
 from metanil.words import (
+    MAX_RANK,
     MAX_WORD_SYLLABLES,
     DomainError,
     GroupParams,
@@ -22,10 +23,24 @@ P3 = GroupParams(3, 3)
 
 
 def test_params_validation():
-    with pytest.raises(DomainError):
-        GroupParams(0, 3)
-    with pytest.raises(DomainError):
-        GroupParams(2, 0)
+    for args, message in [
+        ((0, 3), "rank must be >= 1, got 0"),
+        ((MAX_RANK + 1, 3), "rank must be <= 65536, got 65537"),
+        ((2, 0), "class must be >= 1, got 0"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            GroupParams(*args)
+        assert str(err.value) == message
+    assert GroupParams(MAX_RANK, 1).rank == MAX_RANK
+
+
+def test_params_is_a_plain_tuple():
+    # hashing and equality are tuple's, in C, for the caches keyed by params
+    assert GroupParams.__hash__ is tuple.__hash__ and GroupParams.__eq__ is tuple.__eq__
+    p = GroupParams(rank=2, nilclass=3)
+    assert p == GroupParams(2, 3) and hash(p) == hash((2, 3))
+    assert (p.rank, p.nilclass) == (2, 3)
+    assert repr(p) == "GroupParams(rank=2, nilclass=3)"
 
 
 def test_parse_empty_is_identity():
